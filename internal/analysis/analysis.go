@@ -529,15 +529,16 @@ func (a *analyzer) replaceVersions(st *mdg.Store, L1 []mdg.Loc, repl map[mdg.Loc
 
 // fixpoint analyzes a loop body until the graph and store stop changing
 // (the MDG and store lattices are finite, §3.1), capped by MaxLoopIter.
+// After the join st ⊒ before, so the store has stopped changing exactly
+// when its local bindings equal the pre-iteration copy.
 func (a *analyzer) fixpoint(body []core.Stmt, st *mdg.Store, line int) {
 	for i := 0; i < a.opts.MaxLoopIter; i++ {
 		before := st.Copy()
 		gSnap := a.g.Snap()
-		sSnap := st.Snapshot()
 		a.stmts(body, st)
 		// Join with the pre-iteration store: the loop may run 0 times.
 		st.Join(before)
-		if a.g.Snap() == gSnap && st.Snapshot() == sSnap {
+		if a.g.Snap() == gSnap && st.LocalEqual(before) {
 			return
 		}
 	}

@@ -47,8 +47,21 @@ func (db *DB) Query(src string) (*Result, error) {
 	return db.Exec(q)
 }
 
-// Exec executes a parsed query.
-func (db *DB) Exec(q *Query) (*Result, error) {
+// Exec executes a parsed query. Execution never writes to q, so one
+// parsed query may be shared by concurrent Exec calls on different
+// databases.
+func (db *DB) Exec(q *Query) (*Result, error) { return db.ExecBound(q, nil) }
+
+// ExecBound executes a parsed query with node variables already bound:
+// a pattern node named in bound matches only that node, so a match
+// starts from it instead of scanning every node. It returns the same
+// rows, in the same order, as the query with `WHERE id(v) = …` filters
+// on the bound variables.
+func (db *DB) ExecBound(q *Query, bound map[string]*Node) (*Result, error) {
+	start := make(binding, len(bound))
+	for v, n := range bound {
+		start[v] = n
+	}
 	var patterns []Pattern
 	for _, m := range q.Matches {
 		patterns = append(patterns, m.Patterns...)
@@ -159,7 +172,7 @@ func (db *DB) Exec(q *Query) (*Result, error) {
 			return match(pi+1, nb)
 		})
 	}
-	if err := match(0, binding{}); err != nil {
+	if err := match(0, start); err != nil {
 		return nil, err
 	}
 

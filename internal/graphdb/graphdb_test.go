@@ -1,6 +1,7 @@
 package graphdb
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -440,5 +441,57 @@ func TestNegativeNumberLiteral(t *testing.T) {
 	res := mustQuery(t, db, `MATCH (n:N {v: -5}) RETURN n.v`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// Property: on random graphs of V and P edges, running the proto-write
+// scan with sub pre-bound returns the same rows, in the same order, as
+// filtering every start node with WHERE id(sub) = N.
+func TestExecBoundMatchesWhereIDQuick(t *testing.T) {
+	const pattern = `MATCH (sub)-[:V*0..6]->(mid)-[v:V]->(ver)-[p:P]->(val)`
+	const ret = `RETURN DISTINCT ver, val`
+	q, err := ParseQuery(pattern + "\n" + ret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(edges []uint16) bool {
+		db := NewDB()
+		const n = 8
+		var nodes []*Node
+		for i := 0; i < n; i++ {
+			nodes = append(nodes, db.CreateNode([]string{"Object"}, nil))
+		}
+		if len(edges) > 14 {
+			edges = edges[:14] // bounds the cyclic V*0..6 expansion
+		}
+		for _, e := range edges {
+			typ := "V"
+			if e&1 == 1 {
+				typ = "P"
+			}
+			from, to := int(e>>1)%n, int(e>>4)%n
+			if _, err := db.CreateRel(nodes[from].ID, nodes[to].ID, typ, map[string]Value{"prop": "*"}); err != nil {
+				return false
+			}
+		}
+		for _, sub := range nodes {
+			want, err := db.Query(fmt.Sprintf("%s\nWHERE id(sub) = %d\n%s", pattern, sub.ID, ret))
+			if err != nil {
+				return false
+			}
+			got, err := db.ExecBound(q, map[string]*Node{"sub": sub})
+			if err != nil || len(got.Rows) != len(want.Rows) {
+				return false
+			}
+			for i := range want.Rows {
+				if rowKey(want.Columns, want.Rows[i]) != rowKey(got.Columns, got.Rows[i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

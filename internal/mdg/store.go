@@ -146,6 +146,52 @@ func (s *Store) Leq(o *Store) bool {
 	return true
 }
 
+// LocalEqual reports whether s and o bind the same variables in their
+// local scopes to the same location sets — the same test as comparing
+// their Snapshots, without rendering anything. Bindings are
+// deduplicated by every store operation, so equal lengths plus
+// one-sided inclusion decide set equality.
+func (s *Store) LocalEqual(o *Store) bool {
+	if len(s.m) != len(o.m) {
+		return false
+	}
+	for x, ls := range s.m {
+		os, ok := o.m[x]
+		if !ok || len(os) != len(ls) || !subset(ls, os) {
+			return false
+		}
+	}
+	return true
+}
+
+// subset reports whether every location of a occurs in b. Short
+// bindings (the common case) are compared by linear scan without
+// allocating; long ones go through a set.
+func subset(a, b []Loc) bool {
+	if len(b) <= 16 {
+	next:
+		for _, l := range a {
+			for _, m := range b {
+				if l == m {
+					continue next
+				}
+			}
+			return false
+		}
+		return true
+	}
+	set := make(map[Loc]struct{}, len(b))
+	for _, l := range b {
+		set[l] = struct{}{}
+	}
+	for _, l := range a {
+		if _, ok := set[l]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Vars returns the variables bound in the local scope, sorted.
 func (s *Store) Vars() []string {
 	out := make([]string, 0, len(s.m))
@@ -157,7 +203,8 @@ func (s *Store) Vars() []string {
 }
 
 // Snapshot returns a canonical rendering of the local bindings; equal
-// snapshots mean equal local stores (used by loop fixpoints).
+// snapshots mean equal local stores (diagnostics and tests; loop
+// fixpoints use LocalEqual).
 func (s *Store) Snapshot() string {
 	var sb strings.Builder
 	for _, x := range s.Vars() {

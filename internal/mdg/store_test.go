@@ -1,6 +1,7 @@
 package mdg
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +150,58 @@ func TestJoinIdempotentQuick(t *testing.T) {
 		return a.Snapshot() == snap
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: LocalEqual agrees with Snapshot equality on random
+// deduplicated stores. The second store is a permuted copy of the first
+// (so about half the pairs are equal) with one random edit applied in
+// the other half; bindings range up to 40 locations so both the scan
+// and the set path of the comparison are exercised.
+func TestLocalEqualMatchesSnapshotQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a := NewStore(nil)
+		for i, n := 0, r.Intn(6); i < n; i++ {
+			ls := make([]Loc, r.Intn(40))
+			for j := range ls {
+				ls[j] = Loc(r.Intn(48))
+			}
+			a.SetLocal(varName(i), ls)
+		}
+		b := NewStore(nil)
+		for x, ls := range a.m {
+			p := append([]Loc(nil), ls...)
+			r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+			b.SetLocal(x, p)
+		}
+		if r.Intn(2) == 0 {
+			vars := b.Vars()
+			switch k := r.Intn(5); {
+			case k == 0 || len(vars) == 0:
+				b.SetLocal("z", []Loc{Loc(r.Intn(48))})
+			case k == 1:
+				delete(b.m, vars[r.Intn(len(vars))])
+			case k == 2:
+				x := vars[r.Intn(len(vars))]
+				b.Weaken(x, []Loc{Loc(r.Intn(48))})
+			case k == 3:
+				x := vars[r.Intn(len(vars))]
+				if ls := b.m[x]; len(ls) > 0 {
+					b.SetLocal(x, ls[1:])
+				}
+			default: // same length, one location swapped for a fresh one
+				x := vars[r.Intn(len(vars))]
+				if ls := b.m[x]; len(ls) > 0 {
+					ls[r.Intn(len(ls))] = 48
+				}
+			}
+		}
+		want := a.Snapshot() == b.Snapshot()
+		return a.LocalEqual(b) == want && b.LocalEqual(a) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

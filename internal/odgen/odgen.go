@@ -194,9 +194,7 @@ func Scan(src, name string, opts Options) *Report {
 		opts = DefaultOptions()
 	}
 	cfg := opts.Config
-	if cfg == nil {
-		cfg = queries.DefaultConfig()
-	}
+	cfg = queries.OrDefault(cfg)
 	rep := &Report{Name: name, LoC: strings.Count(src, "\n") + 1}
 	start := time.Now()
 

@@ -104,6 +104,20 @@ func DefaultConfig() *Config {
 	}
 }
 
+// defaultConfig backs OrDefault; nothing writes to it.
+var defaultConfig = DefaultConfig()
+
+// OrDefault returns cfg, or a shared read-only default configuration
+// when cfg is nil, so scans without a configuration do not rebuild the
+// sink table. Callers that edit a configuration start from
+// DefaultConfig, which returns a fresh copy.
+func OrDefault(cfg *Config) *Config {
+	if cfg == nil {
+		return defaultConfig
+	}
+	return cfg
+}
+
 // LoadConfig reads a JSON configuration file.
 func LoadConfig(path string) (*Config, error) {
 	data, err := os.ReadFile(path)

@@ -25,6 +25,11 @@ import (
 // fall back to the native search.
 const cypherMaxHops = 24
 
+// cypherTaintQuery enumerates every candidate path from a taint source.
+var cypherTaintQuery = fmt.Sprintf(`
+MATCH p = (s:Param {source: true})-[:D|P|V*1..%d]->(t)
+RETURN p, id(s) AS src, id(t) AS dst`, cypherMaxHops)
+
 // DetectTaintStyleCypher runs the taint-style query for one class
 // through the query engine.
 func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) {
@@ -35,12 +40,9 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 	}
 
 	// Step 1 (declarative): all candidate paths from taint sources.
-	q := fmt.Sprintf(`
-MATCH p = (s:Param {source: true})-[:D|P|V*1..%d]->(t)
-RETURN p, id(s) AS src, id(t) AS dst`, cypherMaxHops)
-	res, err := lg.DB.Query(q)
+	res, err := lg.run(qCypherTaint, nil)
 	if err != nil {
-		return nil, fmt.Errorf("queries: cypher taint query: %w", err)
+		return nil, err
 	}
 
 	// Tainted destinations per source, after the UntaintedPath filter.
@@ -95,14 +97,14 @@ RETURN p, id(s) AS src, id(t) AS dst`, cypherMaxHops)
 					if !ok && argID != src {
 						continue
 					}
-					key := fmt.Sprintf("%s/%d/%s", cwe, call.Props["line"], name)
+					file, _ := call.Props["file"].(string)
+					key := fmt.Sprintf("%s/%s/%d/%s", cwe, file, call.Props["line"], name)
 					if seen[key] {
 						continue
 					}
 					seen[key] = true
 					srcNode := lg.DB.NodeByID(src)
 					srcName, _ := srcNode.Props["name"].(string)
-					file, _ := call.Props["file"].(string)
 					out = append(out, Finding{
 						CWE:      cwe,
 						SinkName: name,
@@ -154,10 +156,8 @@ func pathSanitized(lg *LoadedGraph, p graphdb.Path) bool {
 // RenderTaintQuery returns the declarative query text for
 // documentation and the CLI's -show-query flag.
 func RenderTaintQuery() string {
-	return strings.TrimSpace(fmt.Sprintf(`
-MATCH p = (s:Param {source: true})-[:D|P|V*1..%d]->(t)
-RETURN p, id(s) AS src, id(t) AS dst
+	return strings.TrimSpace(cypherTaintQuery) + `
 // post-filter: drop paths matching UntaintedPath — a V(prop) edge
 // followed by a P(prop) edge on the same property (Table 1) — then
-// chain with Arg(f, n) for every configured sink f.`, cypherMaxHops))
+// chain with Arg(f, n) for every configured sink f.`
 }

@@ -140,17 +140,50 @@ func findingLess(a, b Finding) bool {
 func SortFindings(out []Finding) []Finding { return sortFindings(out) }
 
 // sources returns the taint-source nodes (parameters of exported
-// functions), found via the query engine.
+// functions), found via the query engine once per graph.
 func (lg *LoadedGraph) sources() ([]*graphdb.Node, error) {
-	res, err := lg.DB.Query(`MATCH (p:Param {source: true}) RETURN p`)
+	if lg.srcsDone {
+		return lg.srcs, nil
+	}
+	res, err := lg.run(qSources, nil)
 	if err != nil {
-		return nil, fmt.Errorf("queries: sources: %w", err)
+		return nil, err
 	}
 	var out []*graphdb.Node
 	for _, row := range res.Rows {
 		out = append(out, row["p"].(*graphdb.Node))
 	}
+	lg.srcs, lg.srcsDone = out, true
 	return out, nil
+}
+
+// sourceReach returns the taint sources and each one's taint reach
+// (amortizes the searches over all sinks). The four Table 2 queries
+// share one set of searches per hop bound: a repeat call adds back the
+// truncations the searches counted, so Truncated reads as if they ran
+// again. Reach computed while the budget tripped is partial and is not
+// kept. Callers must not modify the returned maps.
+func (lg *LoadedGraph) sourceReach(maxHops int) ([]*graphdb.Node, []map[graphdb.NodeID]bool, error) {
+	srcs, err := lg.sources()
+	if err != nil || len(srcs) == 0 {
+		return nil, nil, err
+	}
+	if m, ok := lg.reach[maxHops]; ok {
+		lg.Truncated += m.truncated
+		return srcs, m.reach, nil
+	}
+	before := lg.Truncated
+	reach := make([]map[graphdb.NodeID]bool, len(srcs))
+	for i, s := range srcs {
+		reach[i] = lg.TaintReach(s.ID, maxHops)
+	}
+	if !lg.Budget.Exceeded() {
+		if lg.reach == nil {
+			lg.reach = make(map[int]reachMemo)
+		}
+		lg.reach[maxHops] = reachMemo{reach: reach, truncated: lg.Truncated - before}
+	}
+	return srcs, reach, nil
 }
 
 // DetectTaintStyle implements the Table 2 taint-style query
@@ -161,19 +194,9 @@ func DetectTaintStyle(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) 
 	if len(sinks) == 0 {
 		return nil, nil
 	}
-	srcs, err := lg.sources()
-	if err != nil {
+	srcs, reach, err := lg.sourceReach(cfg.MaxHops)
+	if err != nil || len(srcs) == 0 {
 		return nil, err
-	}
-	if len(srcs) == 0 {
-		return nil, nil
-	}
-
-	// Precompute taint reachability per source (amortizes the DFS over
-	// all sinks).
-	reach := make([]map[graphdb.NodeID]bool, len(srcs))
-	for i, s := range srcs {
-		reach[i] = lg.TaintReach(s.ID, cfg.MaxHops)
 	}
 
 	var out []Finding
@@ -232,16 +255,9 @@ func DetectTaintStyle(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) 
 // attacker must control the lookup property, the assigned property, and
 // the assigned value (§4).
 func DetectPrototypePollution(lg *LoadedGraph, cfg *Config) ([]Finding, error) {
-	srcs, err := lg.sources()
-	if err != nil {
+	srcs, reach, err := lg.sourceReach(cfg.MaxHops)
+	if err != nil || len(srcs) == 0 {
 		return nil, err
-	}
-	if len(srcs) == 0 {
-		return nil, nil
-	}
-	reach := make([]map[graphdb.NodeID]bool, len(srcs))
-	for i, s := range srcs {
-		reach[i] = lg.TaintReach(s.ID, cfg.MaxHops)
 	}
 	tainted := func(id graphdb.NodeID) (int, bool) {
 		for i := range srcs {
@@ -325,22 +341,18 @@ func detectLiteralProtoPollution(lg *LoadedGraph, reach []map[graphdb.NodeID]boo
 	}
 
 	// Both `__proto__` lookups and `constructor` → `prototype` chains.
-	res, err := lg.DB.Query(`
-MATCH (o)-[:P {prop: '__proto__'}]->(sub)
-RETURN DISTINCT sub`)
+	res, err := lg.run(qProtoLookup, nil)
 	if err != nil {
-		return nil, fmt.Errorf("queries: proto lookup: %w", err)
+		return nil, err
 	}
 	subs := map[graphdb.NodeID]*graphdb.Node{}
 	for _, row := range res.Rows {
 		sub := row["sub"].(*graphdb.Node)
 		subs[sub.ID] = sub
 	}
-	res, err = lg.DB.Query(`
-MATCH (o)-[:P {prop: 'constructor'}]->(c)-[:P {prop: 'prototype'}]->(sub)
-RETURN DISTINCT sub`)
+	res, err = lg.run(qCtorProtoLookup, nil)
 	if err != nil {
-		return nil, fmt.Errorf("queries: constructor.prototype lookup: %w", err)
+		return nil, err
 	}
 	for _, row := range res.Rows {
 		sub := row["sub"].(*graphdb.Node)
@@ -360,13 +372,9 @@ RETURN DISTINCT sub`)
 		sub := subs[id]
 		// Any write on (a version of) the prototype object whose value
 		// is attacker-controlled.
-		vq := `
-MATCH (sub)-[:V*0..6]->(mid)-[v:V]->(ver)-[p:P]->(val)
-WHERE id(sub) = ` + fmt.Sprint(int64(sub.ID)) + `
-RETURN DISTINCT ver, val`
-		vres, err := lg.DB.Query(vq)
+		vres, err := lg.run(qProtoWrites, map[string]*graphdb.Node{"sub": sub})
 		if err != nil {
-			return nil, fmt.Errorf("queries: proto write scan: %w", err)
+			return nil, err
 		}
 		for _, row := range vres.Rows {
 			ver := row["ver"].(*graphdb.Node)

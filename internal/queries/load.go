@@ -35,6 +35,23 @@ type LoadedGraph struct {
 	// sanitized marks call nodes matching configured sanitizers; taint
 	// traversals do not pass through them (§6 extension).
 	sanitized map[graphdb.NodeID]bool
+
+	// Work shared by the Table 2 queries, done once per graph: the
+	// taint sources, the dynamic assignments ObjAssignmentStar filters,
+	// and the sources' taint reach per hop bound (cleared with the
+	// sanitizer set it depends on).
+	srcs        []*graphdb.Node
+	srcsDone    bool
+	assigns     [][3]*graphdb.Node
+	assignsDone bool
+	reach       map[int]reachMemo
+}
+
+// reachMemo is the taint reach of every source under one hop bound,
+// with the Truncated count its searches added.
+type reachMemo struct {
+	reach     []map[graphdb.NodeID]bool
+	truncated int
 }
 
 // ApplySanitizers marks the call nodes whose callee matches one of the
@@ -43,6 +60,7 @@ type LoadedGraph struct {
 // carries sanitizers (Detect does this itself).
 func (lg *LoadedGraph) ApplySanitizers(cfg *Config) {
 	lg.sanitized = nil
+	lg.reach = nil
 	if cfg == nil || len(cfg.Sanitizers) == 0 {
 		return
 	}

@@ -1,10 +1,12 @@
 package queries
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/js/normalize"
 )
 
@@ -16,6 +18,20 @@ func loadSrc(t *testing.T, src string) *LoadedGraph {
 	}
 	res := analysis.Analyze(prog, analysis.DefaultOptions())
 	return Load(res)
+}
+
+// loadModules analyzes srcs as one package of modules m0.js, m1.js, …
+func loadModules(t *testing.T, srcs ...string) *LoadedGraph {
+	t.Helper()
+	var progs []*core.Program
+	for i, src := range srcs {
+		prog, err := normalize.File(src, fmt.Sprintf("m%d.js", i))
+		if err != nil {
+			t.Fatalf("normalize: %v", err)
+		}
+		progs = append(progs, prog)
+	}
+	return Load(analysis.AnalyzeModules(progs, analysis.DefaultOptions()))
 }
 
 func detect(t *testing.T, src string) []Finding {
@@ -473,32 +489,38 @@ module.exports = findUser;
 }
 
 // TestCypherNativeEquivalence: the declarative (query-engine) taint
-// detection and the native traversal agree on a battery of programs.
+// detection and the native traversal agree on a battery of programs,
+// including a two-module package whose modules each hold a sink on the
+// same line and with the same name.
 func TestCypherNativeEquivalence(t *testing.T) {
-	programs := []string{
-		`const { exec } = require('child_process');
+	sameLineSink := `const { exec } = require('child_process');
+function run(x) { exec(x); }
+module.exports = run;`
+	packages := [][]string{
+		{`const { exec } = require('child_process');
 function run(c) { exec('git ' + c); }
-module.exports = run;`,
-		`const { exec } = require('child_process');
+module.exports = run;`},
+		{`const { exec } = require('child_process');
 function run(input) {
 	var opts = {};
 	opts.cmd = input;
 	opts.cmd = 'safe';
 	exec(opts.cmd);
 }
-module.exports = run;`,
-		`const { exec } = require('child_process');
+module.exports = run;`},
+		{`const { exec } = require('child_process');
 function helper(x) { exec(x); }
 function entry(y) { helper(y); }
-module.exports = entry;`,
-		`function benign(a) { return a + 1; }
-module.exports = benign;`,
-		`function run(input) { eval(input); }
-module.exports = run;`,
+module.exports = entry;`},
+		{`function benign(a) { return a + 1; }
+module.exports = benign;`},
+		{`function run(input) { eval(input); }
+module.exports = run;`},
+		{sameLineSink, sameLineSink},
 	}
 	cfg := DefaultConfig()
-	for i, src := range programs {
-		lg := loadSrc(t, src)
+	for i, files := range packages {
+		lg := loadModules(t, files...)
 		for _, cwe := range []CWE{CWECommandInjection, CWECodeInjection} {
 			native, err := DetectTaintStyle(lg, cfg, cwe)
 			if err != nil {
@@ -509,18 +531,23 @@ module.exports = run;`,
 				t.Fatalf("DetectTaintStyleCypher: %v", err)
 			}
 			if len(native) != len(declarative) {
-				t.Errorf("program %d %s: native %d vs declarative %d findings",
+				t.Errorf("package %d %s: native %d vs declarative %d findings",
 					i, cwe, len(native), len(declarative))
 				continue
 			}
 			for j := range native {
 				if native[j].SinkLine != declarative[j].SinkLine ||
-					native[j].SinkName != declarative[j].SinkName {
-					t.Errorf("program %d %s: finding %d differs: %v vs %v",
-						i, cwe, j, native[j], declarative[j])
+					native[j].SinkName != declarative[j].SinkName ||
+					native[j].SinkFile != declarative[j].SinkFile {
+					t.Errorf("package %d %s: finding %d differs: %v in %s vs %v in %s",
+						i, cwe, j, native[j], native[j].SinkFile, declarative[j], declarative[j].SinkFile)
 				}
 			}
 		}
+	}
+	// The two-module package has one sink per module.
+	if fs, _ := DetectTaintStyleCypher(loadModules(t, sameLineSink, sameLineSink), cfg, CWECommandInjection); len(fs) != 2 {
+		t.Errorf("two-module package: %d declarative findings, want 2: %v", len(fs), fs)
 	}
 }
 

@@ -1,10 +1,6 @@
 package queries
 
-import (
-	"fmt"
-
-	"repro/internal/graphdb"
-)
+import "repro/internal/graphdb"
 
 // This file implements the base graph traversals of Table 1:
 //
@@ -191,9 +187,9 @@ type CallArg struct {
 // ObjLookupStar finds all dynamic-property lookups: pairs (o, sub) with
 // o -P(*)-> sub. Table 1's ObjLookup*.
 func (lg *LoadedGraph) ObjLookupStar() ([][2]*graphdb.Node, error) {
-	res, err := lg.DB.Query(`MATCH (o)-[:P {prop: '*'}]->(sub) RETURN o, sub`)
+	res, err := lg.run(qObjLookupStar, nil)
 	if err != nil {
-		return nil, fmt.Errorf("queries: ObjLookupStar: %w", err)
+		return nil, err
 	}
 	var out [][2]*graphdb.Node
 	for _, row := range res.Rows {
@@ -211,25 +207,37 @@ func (lg *LoadedGraph) ObjLookupStar() ([][2]*graphdb.Node, error) {
 // parameter before being assigned) has mid -V(*)-> ver -P(*)-> val.
 // Table 1's ObjAssignment* composed with the chaining of Table 2.
 func (lg *LoadedGraph) ObjAssignmentStar(sub *graphdb.Node, maxHops int) ([][2]*graphdb.Node, error) {
-	// All dynamic assignments in the graph, via the query engine.
-	res, err := lg.DB.Query(`
-MATCH (mid)-[:V {prop: '*'}]->(ver)-[:P {prop: '*'}]->(val)
-RETURN DISTINCT mid, ver, val`)
-	if err != nil {
-		return nil, fmt.Errorf("queries: ObjAssignmentStar: %w", err)
-	}
-	if len(res.Rows) == 0 {
-		return nil, nil
+	assigns, err := lg.dynAssignments()
+	if err != nil || len(assigns) == 0 {
+		return nil, err
 	}
 	reach := lg.TaintReach(sub.ID, maxHops)
 	reach[sub.ID] = true
 	var out [][2]*graphdb.Node
-	for _, row := range res.Rows {
-		mid := row["mid"].(*graphdb.Node)
-		if !reach[mid.ID] {
+	for _, a := range assigns {
+		if !reach[a[0].ID] {
 			continue
 		}
-		out = append(out, [2]*graphdb.Node{row["ver"].(*graphdb.Node), row["val"].(*graphdb.Node)})
+		out = append(out, [2]*graphdb.Node{a[1], a[2]})
 	}
+	return out, nil
+}
+
+// dynAssignments returns every dynamic assignment (mid, ver, val) in
+// the graph. The query does not depend on the sub-object, so it runs
+// once per graph.
+func (lg *LoadedGraph) dynAssignments() ([][3]*graphdb.Node, error) {
+	if lg.assignsDone {
+		return lg.assigns, nil
+	}
+	res, err := lg.run(qObjAssignmentStar, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][3]*graphdb.Node, 0, len(res.Rows))
+	for _, row := range res.Rows {
+		out = append(out, [3]*graphdb.Node{row["mid"].(*graphdb.Node), row["ver"].(*graphdb.Node), row["val"].(*graphdb.Node)})
+	}
+	lg.assigns, lg.assignsDone = out, true
 	return out, nil
 }

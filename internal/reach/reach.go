@@ -82,9 +82,7 @@ func Analyze(progs []*core.Program, cfg *queries.Config) *Result {
 // fixpoint charges steps, and a tripped budget degrades the result to
 // the keep-everything fallback instead of guessing.
 func AnalyzeBudget(progs []*core.Program, cfg *queries.Config, b *budget.Budget) *Result {
-	if cfg == nil {
-		cfg = queries.DefaultConfig()
-	}
+	cfg = queries.OrDefault(cfg)
 	exp := exports.Analyze(progs, b)
 	r := &Result{
 		TotalFuncs:   len(exp.Order),

@@ -354,10 +354,7 @@ func (st *IncrementalState) scan(files []SourceFile, name string, opts Options, 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
-	cfgq := opts.Config
-	if cfgq == nil {
-		cfgq = queries.DefaultConfig()
-	}
+	cfgq := queries.OrDefault(opts.Config)
 	rep := &Report{Name: name, Err: preErr}
 	engine, err := ParseEngine(string(opts.Engine))
 	if err != nil {
@@ -593,8 +590,7 @@ func (st *IncrementalState) scan(files []SourceFile, name string, opts Options, 
 		detb = b.DeadlineOnly()
 	}
 	// Detection results are keyed by the caller's config pointer; a nil
-	// Config means the canonical default (DefaultConfig allocates per
-	// call, so keying on cfgq would never hit).
+	// Config means the shared default (queries.OrDefault).
 	for _, lv := range lives {
 		dkey := detectKey{engine: engine, fallback: fb, cfg: opts.Config}
 		if lv.stored {

@@ -311,10 +311,7 @@ func ScanSource(src, name string, opts Options) *Report {
 		return opts.Incremental.scan([]SourceFile{{Rel: name, Src: src}}, name, opts, nil)
 	}
 	rep := &Report{Name: name, LoC: strings.Count(src, "\n") + 1}
-	cfgq := opts.Config
-	if cfgq == nil {
-		cfgq = queries.DefaultConfig()
-	}
+	cfgq := queries.OrDefault(opts.Config)
 	engine, err := ParseEngine(string(opts.Engine))
 	if err != nil {
 		rep.Err = err
@@ -779,10 +776,7 @@ func scanFiles(files []SourceFile, name string, opts Options, preErr error) *Rep
 		return opts.Incremental.scan(files, name, opts, preErr)
 	}
 
-	cfgq := opts.Config
-	if cfgq == nil {
-		cfgq = queries.DefaultConfig()
-	}
+	cfgq := queries.OrDefault(opts.Config)
 	rep := &Report{Name: name, Err: preErr}
 	engine, err := ParseEngine(string(opts.Engine))
 	if err != nil {

@@ -110,10 +110,7 @@ func (st *IncrementalState) scanTree(files []SourceFile, name string, opts Optio
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
-	cfgq := opts.Config
-	if cfgq == nil {
-		cfgq = queries.DefaultConfig()
-	}
+	cfgq := queries.OrDefault(opts.Config)
 	rep := &Report{Name: name, Err: preErr}
 	engine, err := ParseEngine(string(opts.Engine))
 	if err != nil {

@@ -104,9 +104,7 @@ func NewEngine(res *analysis.Result, cfg *queries.Config) *Engine {
 // worklist fixpoint checks b per popped state and stops early —
 // marking the engine Incomplete — when the deadline or step cap trips.
 func NewEngineBudget(res *analysis.Result, cfg *queries.Config, b *budget.Budget) *Engine {
-	if cfg == nil {
-		cfg = queries.DefaultConfig()
-	}
+	cfg = queries.OrDefault(cfg)
 	maxHops := cfg.MaxHops
 	if maxHops <= 0 {
 		maxHops = queries.DefaultMaxHops
