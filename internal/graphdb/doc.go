@@ -5,10 +5,15 @@
 // against it.
 //
 // The data model is the property-graph model: nodes carry labels and a
-// property map; directed relationships carry a type and a property
-// map. The query language (see query.go / exec.go) supports MATCH
-// patterns with variable-length relationships, WHERE filters, and
-// RETURN projections with DISTINCT and LIMIT.
+// property map (nil when empty); directed relationships carry a type
+// and a property map (likewise). Node ids are dense, 1..N in creation
+// order, and the store indexes nodes and adjacency lists by id; the
+// slices AllNodes, NodesByLabel, Out and In return are the store's own
+// and must not be modified. The query language (see query.go /
+// exec.go) supports MATCH patterns with variable-length relationships,
+// WHERE filters, and RETURN projections with DISTINCT, ORDER BY,
+// SKIP and LIMIT; the matcher backtracks, binding variables in place
+// and undoing them, so a failed candidate allocates nothing.
 //
 // A DB instance is not internally synchronized: concurrent scans each
 // load their own instance (see queries.Load), which is what makes the

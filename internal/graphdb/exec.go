@@ -21,14 +21,6 @@ type Result struct {
 
 type binding map[string]any
 
-func (b binding) clone() binding {
-	c := make(binding, len(b))
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
 // ExecError is a query-evaluation error.
 type ExecError struct{ Msg string }
 
@@ -58,16 +50,21 @@ func (db *DB) Exec(q *Query) (*Result, error) { return db.ExecBound(q, nil) }
 // rows, in the same order, as the query with `WHERE id(v) = …` filters
 // on the bound variables.
 func (db *DB) ExecBound(q *Query, bound map[string]*Node) (*Result, error) {
-	start := make(binding, len(bound))
+	x := &execState{db: db, q: q, b: make(binding, len(bound))}
 	for v, n := range bound {
-		start[v] = n
+		x.b[v] = n
 	}
-	var patterns []Pattern
-	for _, m := range q.Matches {
-		patterns = append(patterns, m.Patterns...)
+	if len(q.Matches) == 1 {
+		x.pats = q.Matches[0].Patterns
+	} else {
+		for _, m := range q.Matches {
+			x.pats = append(x.pats, m.Patterns...)
+		}
 	}
+	x.bases = make([]stackBase, len(x.pats))
 
 	res := &Result{}
+	x.res = res
 	for i, item := range q.Return.Items {
 		name := item.Alias
 		if name == "" {
@@ -81,111 +78,36 @@ func (db *DB) ExecBound(q *Query, bound map[string]*Node) (*Result, error) {
 
 	// Aggregation: when every return item is a count(...), the query
 	// collapses to a single row of counters over all matches.
-	aggregate := len(q.Return.Items) > 0
+	x.aggregate = len(q.Return.Items) > 0
 	for _, item := range q.Return.Items {
 		call, ok := item.Expr.(CallExpr)
 		if !ok || call.Fn != "count" {
-			aggregate = false
+			x.aggregate = false
 			break
 		}
 	}
-	counts := make([]int64, len(q.Return.Items))
-
-	seen := map[string]bool{}
-	limitReached := false
-	// ORDER BY needs every row before truncation.
-	earlyStop := q.Return.OrderBy == nil
-
-	type sortedRow struct {
-		row Row
-		key Value
+	if x.aggregate {
+		x.counts = make([]int64, len(q.Return.Items))
 	}
-	var sortable []sortedRow
-
-	var emit func(b binding) error
-	emit = func(b binding) error {
-		if q.Where != nil {
-			ok, err := evalBool(q.Where, b, db)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		if aggregate {
-			for i, item := range q.Return.Items {
-				call := item.Expr.(CallExpr)
-				if len(call.Args) == 0 {
-					counts[i]++
-					continue
-				}
-				v, err := evalExpr(call.Args[0], b, db)
-				if err != nil {
-					return err
-				}
-				if v != nil {
-					counts[i]++
-				}
-			}
-			return nil
-		}
-		row := Row{}
-		for i, item := range q.Return.Items {
-			v, err := evalExpr(item.Expr, b, db)
-			if err != nil {
-				return err
-			}
-			row[res.Columns[i]] = v
-		}
-		if q.Return.Distinct {
-			key := rowKey(res.Columns, row)
-			if seen[key] {
-				return nil
-			}
-			seen[key] = true
-		}
-		if q.Return.OrderBy != nil {
-			k, err := evalExpr(q.Return.OrderBy, b, db)
-			if err != nil {
-				return err
-			}
-			sortable = append(sortable, sortedRow{row: row, key: k})
-			return nil
-		}
-		res.Rows = append(res.Rows, row)
-		if q.Return.Limit > 0 && q.Return.Skip == 0 && len(res.Rows) >= q.Return.Limit && earlyStop {
-			limitReached = true
-		}
-		return nil
+	if q.Return.Distinct {
+		x.seen = map[string]bool{}
 	}
 
-	var match func(pi int, b binding) error
-	match = func(pi int, b binding) error {
-		if limitReached {
-			return nil
-		}
-		if pi == len(patterns) {
-			return emit(b)
-		}
-		return db.matchPattern(&patterns[pi], b, func(nb binding) error {
-			return match(pi+1, nb)
-		})
-	}
-	if err := match(0, start); err != nil {
+	if err := x.match(0); err != nil {
 		return nil, err
 	}
 
-	if aggregate {
+	if x.aggregate {
 		row := Row{}
 		for i := range q.Return.Items {
-			row[res.Columns[i]] = counts[i]
+			row[res.Columns[i]] = x.counts[i]
 		}
 		res.Rows = append(res.Rows, row)
 		return res, nil
 	}
 
 	if q.Return.OrderBy != nil {
+		sortable := x.sortable
 		sort.SliceStable(sortable, func(i, j int) bool {
 			less := lessValues(sortable[i].key, sortable[j].key)
 			if q.Return.OrderDesc {
@@ -210,6 +132,324 @@ func (db *DB) ExecBound(q *Query, bound map[string]*Node) (*Result, error) {
 	return res, nil
 }
 
+// execState is one execution of a query. The matcher binds variables
+// in b in place, recurses, and undoes the binding on the way back, so
+// no binding outlives the continuation that saw it: emit copies what a
+// row needs. The node and relationship stacks hold the pattern path
+// matched so far; a path or relationship variable copies its slice of
+// them only when it is bound.
+type execState struct {
+	db  *DB
+	q   *Query
+	res *Result
+
+	pats  []Pattern
+	bases []stackBase // per pattern: stack heights where its path starts
+	b     binding
+	nodes []*Node
+	rels  []*Rel
+
+	aggregate bool
+	counts    []int64
+	seen      map[string]bool // DISTINCT row keys
+	sortable  []sortedRow     // rows awaiting ORDER BY
+	// limitReached stops the search once LIMIT rows are in (without
+	// ORDER BY, which needs every row before truncation).
+	limitReached bool
+}
+
+type stackBase struct{ nodes, rels int }
+
+type sortedRow struct {
+	row Row
+	key Value
+}
+
+// undo restores one variable to what it was before a bind.
+type undo struct {
+	name string // "" when nothing was bound
+	old  any
+	had  bool
+}
+
+func (x *execState) bind(name string, v any) undo {
+	if name == "" {
+		return undo{}
+	}
+	old, had := x.b[name]
+	x.b[name] = v
+	return undo{name: name, old: old, had: had}
+}
+
+func (x *execState) restore(u undo) {
+	switch {
+	case u.name == "":
+	case u.had:
+		x.b[u.name] = u.old
+	default:
+		delete(x.b, u.name)
+	}
+}
+
+// emit filters the current binding through WHERE and projects it.
+func (x *execState) emit() error {
+	q, b, db := x.q, x.b, x.db
+	if q.Where != nil {
+		ok, err := evalBool(q.Where, b, db)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+	}
+	if x.aggregate {
+		for i, item := range q.Return.Items {
+			call := item.Expr.(CallExpr)
+			if len(call.Args) == 0 {
+				x.counts[i]++
+				continue
+			}
+			v, err := evalExpr(call.Args[0], b, db)
+			if err != nil {
+				return err
+			}
+			if v != nil {
+				x.counts[i]++
+			}
+		}
+		return nil
+	}
+	row := make(Row, len(q.Return.Items))
+	for i, item := range q.Return.Items {
+		v, err := evalExpr(item.Expr, b, db)
+		if err != nil {
+			return err
+		}
+		row[x.res.Columns[i]] = v
+	}
+	if q.Return.Distinct {
+		key := rowKey(x.res.Columns, row)
+		if x.seen[key] {
+			return nil
+		}
+		x.seen[key] = true
+	}
+	if q.Return.OrderBy != nil {
+		k, err := evalExpr(q.Return.OrderBy, b, db)
+		if err != nil {
+			return err
+		}
+		x.sortable = append(x.sortable, sortedRow{row: row, key: k})
+		return nil
+	}
+	x.res.Rows = append(x.res.Rows, row)
+	if q.Return.Limit > 0 && q.Return.Skip == 0 && len(x.res.Rows) >= q.Return.Limit {
+		x.limitReached = true
+	}
+	return nil
+}
+
+// match enumerates the bindings of patterns pi.. under the current
+// binding, emitting a row for each complete match.
+func (x *execState) match(pi int) error {
+	if x.limitReached {
+		return nil
+	}
+	if pi == len(x.pats) {
+		return x.emit()
+	}
+	p := &x.pats[pi]
+	first := &p.Nodes[0]
+	if first.Var != "" {
+		if v, ok := x.b[first.Var]; ok {
+			n, isNode := v.(*Node)
+			if !isNode {
+				return execErrf("variable %q is not a node", first.Var)
+			}
+			if !nodeMatches(first, n) {
+				return nil
+			}
+			return x.start(pi, n)
+		}
+	}
+	// Candidates for the first node: a label index scan, or all nodes.
+	pool := x.db.nodes
+	if len(first.Labels) > 0 {
+		pool = x.db.byLabel[first.Labels[0]]
+	}
+	for _, n := range pool {
+		if !nodeMatches(first, n) {
+			continue
+		}
+		if err := x.start(pi, n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// start matches pattern pi from candidate first node n.
+func (x *execState) start(pi int, n *Node) error {
+	if err := x.db.bud.Step(); err != nil {
+		return err
+	}
+	x.bases[pi] = stackBase{nodes: len(x.nodes), rels: len(x.rels)}
+	u := x.bind(x.pats[pi].Nodes[0].Var, n)
+	x.nodes = append(x.nodes, n)
+	err := x.chain(pi, 0, n)
+	x.nodes = x.nodes[:len(x.nodes)-1]
+	x.restore(u)
+	return err
+}
+
+// chain extends pattern pi's match from node index i (bound to cur)
+// along relationship i.
+func (x *execState) chain(pi, i int, cur *Node) error {
+	p := &x.pats[pi]
+	if i == len(p.Rels) {
+		if p.PathVar == "" {
+			return x.match(pi + 1)
+		}
+		base := x.bases[pi]
+		u := x.bind(p.PathVar, Path{
+			Nodes: append([]*Node(nil), x.nodes[base.nodes:]...),
+			Rels:  append([]*Rel(nil), x.rels[base.rels:]...),
+		})
+		err := x.match(pi + 1)
+		x.restore(u)
+		return err
+	}
+	trail := len(x.rels)
+	if p.Rels[i].MinHops == 0 {
+		// Zero-length match allowed: the target is cur itself.
+		if err := x.arrive(pi, i, cur, trail); err != nil {
+			return err
+		}
+	}
+	return x.expand(pi, i, cur, 0, trail)
+}
+
+// expand enumerates matches of relationship pattern i of pattern pi
+// from n, at depth hops into the expansion, following trail semantics:
+// no relationship repeats within one variable-length expansion, whose
+// relationships are x.rels[trail:].
+func (x *execState) expand(pi, i int, n *Node, depth, trail int) error {
+	if err := x.db.bud.Step(); err != nil {
+		return err
+	}
+	rp := &x.pats[pi].Rels[i]
+	// depth 0 (zero-length) is handled by chain.
+	if depth > 0 && depth >= rp.MinHops {
+		if err := x.arrive(pi, i, n, trail); err != nil {
+			return err
+		}
+	}
+	if depth == rp.MaxHops {
+		return nil
+	}
+	adj := x.db.out[n.ID-1]
+	if rp.Reverse {
+		adj = x.db.in[n.ID-1]
+	}
+	for _, r := range adj {
+		if onTrail(x.rels[trail:], r) || !relMatches(rp, r) {
+			continue
+		}
+		t := r.To
+		if rp.Reverse {
+			t = r.From
+		}
+		tn := x.db.nodes[t-1]
+		x.rels = append(x.rels, r)
+		x.nodes = append(x.nodes, tn)
+		err := x.expand(pi, i, tn, depth+1, trail)
+		x.rels = x.rels[:len(x.rels)-1]
+		x.nodes = x.nodes[:len(x.nodes)-1]
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// arrive binds the end of relationship pattern i (node index i+1) to
+// target, reached through x.rels[trail:], and continues the chain.
+func (x *execState) arrive(pi, i int, target *Node, trail int) error {
+	p := &x.pats[pi]
+	np := &p.Nodes[i+1]
+	if !nodeMatches(np, target) {
+		return nil
+	}
+	var un undo
+	if np.Var != "" {
+		if existing, ok := x.b[np.Var]; ok {
+			en, isNode := existing.(*Node)
+			if !isNode || en.ID != target.ID {
+				return nil
+			}
+		} else {
+			un = x.bind(np.Var, target)
+		}
+	}
+	var ur undo
+	if rv := p.Rels[i].Var; rv != "" {
+		var rels []*Rel // nil for a zero-length match
+		if len(x.rels) > trail {
+			rels = append(rels, x.rels[trail:]...)
+		}
+		ur = x.bind(rv, rels)
+	}
+	err := x.chain(pi, i+1, target)
+	x.restore(ur)
+	x.restore(un)
+	return err
+}
+
+func onTrail(trail []*Rel, r *Rel) bool {
+	for _, t := range trail {
+		if t == r {
+			return true
+		}
+	}
+	return false
+}
+
+func relMatches(rp *RelPattern, r *Rel) bool {
+	if len(rp.Types) > 0 {
+		ok := false
+		for _, t := range rp.Types {
+			if r.Type == t {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	for name, want := range rp.Props {
+		if !valueEq(r.Props[name], want) {
+			return false
+		}
+	}
+	return true
+}
+
+func nodeMatches(np *NodePattern, n *Node) bool {
+	for _, l := range np.Labels {
+		if !n.HasLabel(l) {
+			return false
+		}
+	}
+	for name, want := range np.Props {
+		if !valueEq(n.Props[name], want) {
+			return false
+		}
+	}
+	return true
+}
+
 // lessValues orders values for ORDER BY: numbers before strings, both
 // ascending; other types compare by rendering.
 func lessValues(a, b Value) bool {
@@ -227,185 +467,6 @@ func lessValues(a, b Value) bool {
 		return aok // numbers sort first
 	}
 	return fmt.Sprint(a) < fmt.Sprint(b)
-}
-
-// matchPattern enumerates all bindings of one pattern, invoking k for
-// each. Bound variables already present in b constrain the match.
-func (db *DB) matchPattern(p *Pattern, b binding, k func(binding) error) error {
-	// Enumerate candidates for the first node.
-	first := p.Nodes[0]
-	cands, err := db.nodeCandidates(first, b)
-	if err != nil {
-		return err
-	}
-	for _, n := range cands {
-		if err := db.bud.Step(); err != nil {
-			return err
-		}
-		nb := b.clone()
-		if first.Var != "" {
-			nb[first.Var] = n
-		}
-		path := Path{Nodes: []*Node{n}}
-		if err := db.matchChain(p, 0, n, nb, path, k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// matchChain extends the match from node index i along relationship i.
-func (db *DB) matchChain(p *Pattern, i int, cur *Node, b binding, path Path, k func(binding) error) error {
-	if i == len(p.Rels) {
-		if p.PathVar != "" {
-			b = b.clone()
-			b[p.PathVar] = path
-		}
-		return k(b)
-	}
-	rp := &p.Rels[i]
-	np := &p.Nodes[i+1]
-	return db.expandRel(rp, cur, path, func(target *Node, rels []*Rel, npath Path) error {
-		if !db.nodeMatches(np, target, b) {
-			return nil
-		}
-		nb := b.clone()
-		if np.Var != "" {
-			if existing, ok := nb[np.Var]; ok {
-				en, isNode := existing.(*Node)
-				if !isNode || en.ID != target.ID {
-					return nil
-				}
-			} else {
-				nb[np.Var] = target
-			}
-		}
-		if rp.Var != "" {
-			nb[rp.Var] = rels
-		}
-		return db.matchChain(p, i+1, target, nb, npath, k)
-	})
-}
-
-// expandRel enumerates matches of one relationship pattern from cur,
-// following trail semantics (no relationship repeated within one
-// variable-length expansion).
-func (db *DB) expandRel(rp *RelPattern, cur *Node, path Path, k func(*Node, []*Rel, Path) error) error {
-	typeOK := func(r *Rel) bool {
-		if len(rp.Types) == 0 {
-			return true
-		}
-		for _, t := range rp.Types {
-			if r.Type == t {
-				return true
-			}
-		}
-		return false
-	}
-	propsOK := func(r *Rel) bool {
-		for name, want := range rp.Props {
-			if !valueEq(r.Props[name], want) {
-				return false
-			}
-		}
-		return true
-	}
-	step := func(n *Node) []*Rel {
-		if rp.Reverse {
-			return db.in[n.ID]
-		}
-		return db.out[n.ID]
-	}
-	other := func(r *Rel) *Node {
-		if rp.Reverse {
-			return db.nodes[r.From]
-		}
-		return db.nodes[r.To]
-	}
-
-	used := map[int64]bool{}
-	var rec func(n *Node, depth int, rels []*Rel, pth Path) error
-	rec = func(n *Node, depth int, rels []*Rel, pth Path) error {
-		if err := db.bud.Step(); err != nil {
-			return err
-		}
-		// depth 0 (zero-length) is handled by the caller below.
-		if depth > 0 && depth >= rp.MinHops {
-			if err := k(n, append([]*Rel(nil), rels...), pth); err != nil {
-				return err
-			}
-		}
-		if depth == rp.MaxHops {
-			return nil
-		}
-		for _, r := range step(n) {
-			if used[r.ID] || !typeOK(r) || !propsOK(r) {
-				continue
-			}
-			used[r.ID] = true
-			t := other(r)
-			np := Path{
-				Nodes: append(append([]*Node(nil), pth.Nodes...), t),
-				Rels:  append(append([]*Rel(nil), pth.Rels...), r),
-			}
-			if err := rec(t, depth+1, append(rels, r), np); err != nil {
-				return err
-			}
-			used[r.ID] = false
-		}
-		return nil
-	}
-	if rp.MinHops == 0 {
-		// Zero-length match allowed: target is cur itself.
-		if err := k(cur, nil, path); err != nil {
-			return err
-		}
-	}
-	return rec(cur, 0, nil, path)
-}
-
-// nodeCandidates returns the candidate nodes for a node pattern: the
-// already-bound node, a label index scan, or all nodes.
-func (db *DB) nodeCandidates(np NodePattern, b binding) ([]*Node, error) {
-	if np.Var != "" {
-		if v, ok := b[np.Var]; ok {
-			n, isNode := v.(*Node)
-			if !isNode {
-				return nil, execErrf("variable %q is not a node", np.Var)
-			}
-			if db.nodeMatches(&np, n, b) {
-				return []*Node{n}, nil
-			}
-			return nil, nil
-		}
-	}
-	var pool []*Node
-	if len(np.Labels) > 0 {
-		pool = db.NodesByLabel(np.Labels[0])
-	} else {
-		pool = db.AllNodes()
-	}
-	var out []*Node
-	for _, n := range pool {
-		if db.nodeMatches(&np, n, b) {
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}
-
-func (db *DB) nodeMatches(np *NodePattern, n *Node, _ binding) bool {
-	for _, l := range np.Labels {
-		if !n.HasLabel(l) {
-			return false
-		}
-	}
-	for name, want := range np.Props {
-		if !valueEq(n.Props[name], want) {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -53,6 +53,18 @@ func TestCreateAndIndex(t *testing.T) {
 	if len(db.NodesByLabel("Param")) != 2 {
 		t.Fatal("label index broken")
 	}
+	// Ids outside 1..N name no node and have no relationships.
+	for _, id := range []NodeID{-1, 0, 8} {
+		if db.NodeByID(id) != nil || db.Out(id) != nil || db.In(id) != nil {
+			t.Errorf("id %d: NodeByID/Out/In must be nil", id)
+		}
+	}
+	// A node or relationship created without properties keeps nil.
+	n := db.CreateNode(nil, nil)
+	r, err := db.CreateRel(n.ID, n.ID, "D", nil)
+	if err != nil || n.Props != nil || r.Props != nil || n.Prop("x") != nil || r.Prop("x") != nil {
+		t.Errorf("nil props: node %v, rel %v, err %v", n.Props, r, err)
+	}
 }
 
 func TestRelRequiresEndpoints(t *testing.T) {

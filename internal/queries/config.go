@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 )
 
 // CWE identifies a vulnerability class.
@@ -138,26 +137,14 @@ func LoadConfig(path string) (*Config, error) {
 // calleeName matches sink name. Matching is by dotted-path suffix:
 // "exec" matches both `exec(...)` and `cp.exec(...)`;
 // "fs.readFile" matches `fs.readFile(...)` and `require('fs').readFile`.
+// That is, the callee equals the sink or ends with "." + sink; the
+// comparison is made in place, without splitting either path.
 func MatchSink(calleeName, sinkName string) bool {
 	if calleeName == sinkName {
 		return true
 	}
-	cs := strings.Split(calleeName, ".")
-	ss := strings.Split(sinkName, ".")
-	if len(ss) == 1 {
-		return cs[len(cs)-1] == ss[0]
-	}
-	if len(cs) < len(ss) {
-		return false
-	}
-	// Compare the trailing segments.
-	off := len(cs) - len(ss)
-	for i := range ss {
-		if cs[off+i] != ss[i] {
-			return false
-		}
-	}
-	return true
+	n := len(calleeName) - len(sinkName)
+	return n > 0 && calleeName[n-1] == '.' && calleeName[n:] == sinkName
 }
 
 // SinksFor returns the sinks of one class.
@@ -169,7 +156,38 @@ func (c *Config) SinksFor(cwe CWE) []Sink {
 		}
 	}
 	if cwe == CWECodeInjection && c.RequireAsCodeInjection {
-		out = append(out, Sink{CWE: CWECodeInjection, Name: "require", Args: []int{0}})
+		out = append(out, requireSink)
 	}
 	return out
+}
+
+// requireSink is the opt-in CWE-94 sink of RequireAsCodeInjection.
+var requireSink = Sink{CWE: CWECodeInjection, Name: "require", Args: []int{0}}
+
+// hasSinks reports whether SinksFor(cwe) is non-empty, without
+// building it.
+func (c *Config) hasSinks(cwe CWE) bool {
+	if cwe == CWECodeInjection && c.RequireAsCodeInjection {
+		return true
+	}
+	for i := range c.Sinks {
+		if c.Sinks[i].CWE == cwe {
+			return true
+		}
+	}
+	return false
+}
+
+// sinkFor returns the first sink of SinksFor(cwe) that calleeName
+// matches, or nil, without building the list.
+func (c *Config) sinkFor(cwe CWE, calleeName string) *Sink {
+	for i := range c.Sinks {
+		if s := &c.Sinks[i]; s.CWE == cwe && MatchSink(calleeName, s.Name) {
+			return s
+		}
+	}
+	if cwe == CWECodeInjection && c.RequireAsCodeInjection && MatchSink(calleeName, requireSink.Name) {
+		return &requireSink
+	}
+	return nil
 }

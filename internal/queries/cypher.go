@@ -34,8 +34,7 @@ RETURN p, id(s) AS src, id(t) AS dst`, cypherMaxHops)
 // through the query engine.
 func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) {
 	lg.ApplySanitizers(cfg)
-	sinks := cfg.SinksFor(cwe)
-	if len(sinks) == 0 {
+	if !cfg.hasSinks(cwe) {
 		return nil, nil
 	}
 
@@ -69,16 +68,10 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 	// Step 2: chain with Arg(f, n) — sink calls and their sensitive
 	// argument nodes.
 	var out []Finding
-	seen := map[string]bool{}
+	seen := map[sinkKey]bool{}
 	for _, call := range lg.DB.NodesByLabel("Call") {
 		name, _ := call.Props["name"].(string)
-		var sink *Sink
-		for i := range sinks {
-			if MatchSink(name, sinks[i].Name) {
-				sink = &sinks[i]
-				break
-			}
-		}
+		sink := cfg.sinkFor(cwe, name)
 		if sink == nil {
 			continue
 		}
@@ -98,7 +91,8 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 						continue
 					}
 					file, _ := call.Props["file"].(string)
-					key := fmt.Sprintf("%s/%s/%d/%s", cwe, file, call.Props["line"], name)
+					line := int(call.Props["line"].(int64))
+					key := sinkKey{cwe: cwe, file: file, line: line, name: name}
 					if seen[key] {
 						continue
 					}
@@ -108,7 +102,7 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 					out = append(out, Finding{
 						CWE:      cwe,
 						SinkName: name,
-						SinkLine: int(call.Props["line"].(int64)),
+						SinkLine: line,
 						SinkFile: file,
 						Source:   srcName,
 						Path:     path,

@@ -186,12 +186,27 @@ func (lg *LoadedGraph) sourceReach(maxHops int) ([]*graphdb.Node, []map[graphdb.
 	return srcs, reach, nil
 }
 
+// sinkKey identifies a taint-style finding for deduplication: one
+// finding per sink call site, whichever source and argument reach it.
+type sinkKey struct {
+	cwe  CWE
+	file string
+	line int
+	name string
+}
+
+// pollutionKey identifies a prototype-pollution finding for
+// deduplication: one finding per polluting assignment.
+type pollutionKey struct {
+	file string
+	line int
+}
+
 // DetectTaintStyle implements the Table 2 taint-style query
 // TaintPath_{o_s} ∘ Arg_{f,n} for the sinks of one class: a tainted
 // path must connect a source to a sensitive argument of a sink call.
 func DetectTaintStyle(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) {
-	sinks := cfg.SinksFor(cwe)
-	if len(sinks) == 0 {
+	if !cfg.hasSinks(cwe) {
 		return nil, nil
 	}
 	srcs, reach, err := lg.sourceReach(cfg.MaxHops)
@@ -200,16 +215,10 @@ func DetectTaintStyle(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) 
 	}
 
 	var out []Finding
-	seen := map[string]bool{}
+	seen := map[sinkKey]bool{}
 	for _, call := range lg.DB.NodesByLabel("Call") {
 		name, _ := call.Props["name"].(string)
-		var sink *Sink
-		for i := range sinks {
-			if MatchSink(name, sinks[i].Name) {
-				sink = &sinks[i]
-				break
-			}
-		}
+		sink := cfg.sinkFor(cwe, name)
 		if sink == nil {
 			continue
 		}
@@ -229,7 +238,8 @@ func DetectTaintStyle(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) 
 						continue
 					}
 					file, _ := call.Props["file"].(string)
-					key := fmt.Sprintf("%s/%s/%d/%s", cwe, file, call.Props["line"], name)
+					line := int(call.Props["line"].(int64))
+					key := sinkKey{cwe: cwe, file: file, line: line, name: name}
 					if seen[key] {
 						continue
 					}
@@ -238,7 +248,7 @@ func DetectTaintStyle(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, error) 
 					out = append(out, Finding{
 						CWE:      cwe,
 						SinkName: name,
-						SinkLine: int(call.Props["line"].(int64)),
+						SinkLine: line,
 						SinkFile: file,
 						Source:   srcName,
 						Path:     lg.TaintPathWitness(src.ID, argID, cfg.MaxHops),
@@ -269,7 +279,7 @@ func DetectPrototypePollution(lg *LoadedGraph, cfg *Config) ([]Finding, error) {
 	}
 
 	var out []Finding
-	seen := map[string]bool{}
+	seen := map[pollutionKey]bool{}
 
 	// Static-key variant: an explicit `obj['__proto__']` /
 	// `obj.constructor.prototype` lookup followed by a write of an
@@ -307,7 +317,7 @@ func DetectPrototypePollution(lg *LoadedGraph, cfg *Config) ([]Finding, error) {
 			}
 			line := int(ver.Props["line"].(int64))
 			file, _ := ver.Props["file"].(string)
-			key := fmt.Sprintf("pp/%s/%d", file, line)
+			key := pollutionKey{file: file, line: line}
 			if seen[key] {
 				continue
 			}
@@ -330,7 +340,7 @@ func DetectPrototypePollution(lg *LoadedGraph, cfg *Config) ([]Finding, error) {
 // (o)-[:P {prop:'__proto__'}]->(sub) with any later write on sub whose
 // value is tainted, or the constructor.prototype two-step equivalent.
 func detectLiteralProtoPollution(lg *LoadedGraph, reach []map[graphdb.NodeID]bool,
-	srcs []*graphdb.Node, seen map[string]bool, maxHops int) ([]Finding, error) {
+	srcs []*graphdb.Node, seen map[pollutionKey]bool, maxHops int) ([]Finding, error) {
 	tainted := func(id graphdb.NodeID) (int, bool) {
 		for i := range srcs {
 			if reach[i][id] {
@@ -385,7 +395,7 @@ func detectLiteralProtoPollution(lg *LoadedGraph, reach []map[graphdb.NodeID]boo
 			}
 			line := int(ver.Props["line"].(int64))
 			file, _ := ver.Props["file"].(string)
-			key := fmt.Sprintf("pp/%s/%d", file, line)
+			key := pollutionKey{file: file, line: line}
 			if seen[key] {
 				continue
 			}

@@ -36,6 +36,13 @@ type LoadedGraph struct {
 	// traversals do not pass through them (§6 extension).
 	sanitized map[graphdb.NodeID]bool
 
+	// Taint-search scratch: the interned written-property sets, and
+	// the memo (state → shallowest depth expanded) and path stack each
+	// search clears and reuses.
+	sets writtenSets
+	seen map[searchState]int
+	path []graphdb.NodeID
+
 	// Work shared by the Table 2 queries, done once per graph: the
 	// taint sources, the dynamic assignments ObjAssignmentStar filters,
 	// and the sources' taint reach per hop bound (cleared with the
@@ -82,6 +89,16 @@ const (
 	StarProp = "*"
 )
 
+// Node labels by MDG kind, shared by every load (CreateNode copies
+// the label slice it is given).
+var (
+	labelsCall    = []string{"Call"}
+	labelsFunc    = []string{"Func"}
+	labelsParam   = []string{"Param"}
+	labelsLiteral = []string{"Literal"}
+	labelsObject  = []string{"Object"}
+)
+
 // Load stores the analysis result's MDG into a fresh database. Node
 // labels follow the MDG node kinds (Object, Call, Func, Param,
 // Literal); edges become typed relationships with a `prop` property
@@ -97,7 +114,7 @@ func Load(res *analysis.Result) *LoadedGraph {
 // database so query execution cooperates with it.
 func LoadBudget(res *analysis.Result, b *budget.Budget) *LoadedGraph {
 	db := graphdb.NewDB()
-	byLoc := make(map[mdg.Loc]graphdb.NodeID)
+	byLoc := make(map[mdg.Loc]graphdb.NodeID, res.Graph.NumNodes())
 	lg := &LoadedGraph{DB: db, ByLoc: byLoc, Result: res, Budget: b}
 
 	for _, n := range res.Graph.Nodes() {
@@ -112,23 +129,21 @@ func LoadBudget(res *analysis.Result, b *budget.Budget) *LoadedGraph {
 			"line":  int64(n.Line),
 			"file":  n.File,
 		}
-		var labels []string
+		labels := labelsObject
 		switch n.Kind {
 		case mdg.KindCall:
-			labels = []string{"Call"}
+			labels = labelsCall
 			props["name"] = n.CallName
 		case mdg.KindFunc:
-			labels = []string{"Func"}
+			labels = labelsFunc
 			props["name"] = n.FuncName
 			props["exported"] = n.Exported
 		case mdg.KindParam:
-			labels = []string{"Param"}
+			labels = labelsParam
 			props["name"] = n.Label
 			props["source"] = n.Source
 		case mdg.KindLiteral:
-			labels = []string{"Literal"}
-		default:
-			labels = []string{"Object"}
+			labels = labelsLiteral
 		}
 		if n.Source {
 			props["source"] = true
@@ -137,41 +152,46 @@ func LoadBudget(res *analysis.Result, b *budget.Budget) *LoadedGraph {
 		byLoc[n.Loc] = dn.ID
 	}
 
-	for _, e := range res.Graph.Edges() {
-		if b.Step() != nil {
-			break
-		}
-		if _, ok := byLoc[e.From]; !ok {
-			continue // endpoint beyond a budget-truncated node load
-		}
-		if _, ok := byLoc[e.To]; !ok {
-			continue
-		}
-		var typ string
-		prop := e.Prop
-		switch e.Type {
-		case mdg.Dep:
-			typ = RelDep
-		case mdg.Prop:
-			typ = RelProp
-		case mdg.PropStar:
-			typ = RelProp
-			prop = StarProp
-		case mdg.Ver:
-			typ = RelVer
-		case mdg.VerStar:
-			typ = RelVer
-			prop = StarProp
-		}
-		props := map[string]graphdb.Value{}
-		if typ != RelDep {
-			props["prop"] = prop
-		}
-		// Endpoints exist (checked above); a CreateRel failure is a
-		// store inconsistency, recorded rather than panicking so a
-		// corpus sweep classifies it as a query error.
-		if _, err := db.CreateRel(byLoc[e.From], byLoc[e.To], typ, props); err != nil && lg.LoadErr == nil {
-			lg.LoadErr = fmt.Errorf("queries: load edge %v->%v: %w", e.From, e.To, err)
+	// Edges in Graph.Edges order (each node's out-list, nodes in Loc
+	// order), walked in place rather than copied out.
+edges:
+	for _, n := range res.Graph.Nodes() {
+		for _, e := range res.Graph.Out(n.Loc) {
+			if b.Step() != nil {
+				break edges
+			}
+			if _, ok := byLoc[e.From]; !ok {
+				continue // endpoint beyond a budget-truncated node load
+			}
+			if _, ok := byLoc[e.To]; !ok {
+				continue
+			}
+			var typ string
+			prop := e.Prop
+			switch e.Type {
+			case mdg.Dep:
+				typ = RelDep
+			case mdg.Prop:
+				typ = RelProp
+			case mdg.PropStar:
+				typ = RelProp
+				prop = StarProp
+			case mdg.Ver:
+				typ = RelVer
+			case mdg.VerStar:
+				typ = RelVer
+				prop = StarProp
+			}
+			var props map[string]graphdb.Value // D edges carry no properties
+			if typ != RelDep {
+				props = map[string]graphdb.Value{"prop": prop}
+			}
+			// Endpoints exist (checked above); a CreateRel failure is a
+			// store inconsistency, recorded rather than panicking so a
+			// corpus sweep classifies it as a query error.
+			if _, err := db.CreateRel(byLoc[e.From], byLoc[e.To], typ, props); err != nil && lg.LoadErr == nil {
+				lg.LoadErr = fmt.Errorf("queries: load edge %v->%v: %w", e.From, e.To, err)
+			}
 		}
 	}
 

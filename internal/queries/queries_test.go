@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -301,6 +302,58 @@ func TestMatchSink(t *testing.T) {
 	for _, c := range cases {
 		if got := MatchSink(c.callee, c.sink); got != c.want {
 			t.Errorf("MatchSink(%q, %q) = %v, want %v", c.callee, c.sink, got, c.want)
+		}
+	}
+}
+
+// matchSinkSplit is the segment-splitting MatchSink that the in-place
+// comparison replaced, kept as its reference.
+func matchSinkSplit(calleeName, sinkName string) bool {
+	if calleeName == sinkName {
+		return true
+	}
+	cs := strings.Split(calleeName, ".")
+	ss := strings.Split(sinkName, ".")
+	if len(ss) == 1 {
+		return cs[len(cs)-1] == ss[0]
+	}
+	if len(cs) < len(ss) {
+		return false
+	}
+	off := len(cs) - len(ss)
+	for i := range ss {
+		if cs[off+i] != ss[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: MatchSink agrees with the segment-splitting reference on
+// dotted paths built from a tiny alphabet, so empty segments, a bare
+// ".", leading and trailing dots, and shared suffixes all occur often.
+func TestMatchSinkMatchesSplitQuick(t *testing.T) {
+	alphabet := []string{"", ".", "a", "b", "ab", "exec", "fs", "."}
+	path := func(parts []uint8) string {
+		var sb strings.Builder
+		for _, p := range parts {
+			sb.WriteString(alphabet[int(p)%len(alphabet)])
+		}
+		return sb.String()
+	}
+	f := func(callee, sink []uint8, share bool) bool {
+		c, s := path(callee), path(sink)
+		if share {
+			c += s // make suffix matches common
+		}
+		return MatchSink(c, s) == matchSinkSplit(c, s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{{".", "."}, {"", ""}, {"a.", ""}, {"a", ""}, {"", "."}, {"a..", "."}, {"a.", "."}, {"..", "."}, {".exec", "exec"}, {"x.fs.readFile", "fs.readFile"}} {
+		if got, want := MatchSink(c[0], c[1]), matchSinkSplit(c[0], c[1]); got != want {
+			t.Errorf("MatchSink(%q, %q) = %v, reference %v", c[0], c[1], got, want)
 		}
 	}
 }

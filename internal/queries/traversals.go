@@ -1,6 +1,10 @@
 package queries
 
-import "repro/internal/graphdb"
+import (
+	"strings"
+
+	"repro/internal/graphdb"
+)
 
 // This file implements the base graph traversals of Table 1:
 //
@@ -41,11 +45,12 @@ func (lg *LoadedGraph) TaintReach(src graphdb.NodeID, maxHops int) map[graphdb.N
 	return out
 }
 
-// pathState is a memoization key: node plus the canonical set of
-// version-written properties still "open" along the path.
-type pathState struct {
+// searchState is a taint-search memoization key: a node plus the
+// interned set of version-written properties still "open" along the
+// path that reached it.
+type searchState struct {
 	node    graphdb.NodeID
-	written string
+	written setID
 }
 
 // taintSearch runs the TaintPath DFS from src; accept is called on every
@@ -54,102 +59,153 @@ func (lg *LoadedGraph) taintSearch(src graphdb.NodeID, accept func(graphdb.NodeI
 	if maxHops <= 0 {
 		maxHops = DefaultMaxHops
 	}
-	type frame struct {
-		id      graphdb.NodeID
-		written map[string]bool
-		depth   int
+	if lg.seen == nil {
+		lg.seen = make(map[searchState]int)
+	} else {
+		clear(lg.seen)
 	}
-	seen := make(map[pathState]bool)
-	var path []graphdb.NodeID
+	lg.path = lg.path[:0]
+	s := searcher{lg: lg, accept: accept, maxHops: maxHops}
+	return s.dfs(src, 0, 0)
+}
 
-	var dfs func(f frame) []graphdb.NodeID
-	dfs = func(f frame) []graphdb.NodeID {
-		if lg.Budget.Step() != nil {
-			// Budget hit mid-search: abandon the search (the sticky
-			// failure makes every outer frame bail out immediately);
-			// Detect reports the findings established before the trip.
-			return nil
-		}
-		key := pathState{node: f.id, written: writtenKey(f.written)}
-		if seen[key] {
-			return nil
-		}
-		seen[key] = true
-		path = append(path, f.id)
-		defer func() { path = path[:len(path)-1] }()
+// searcher is one taint search. Its memo and path stack are the
+// LoadedGraph's scratch space, reused by later searches.
+type searcher struct {
+	lg      *LoadedGraph
+	accept  func(graphdb.NodeID) bool
+	maxHops int
+}
 
-		if accept(f.id) {
-			return append([]graphdb.NodeID(nil), path...)
-		}
-		if f.depth >= maxHops {
-			// The hop bound silently under-approximates; count the
-			// truncation so it is observable in reports.
-			if len(lg.DB.Out(f.id)) > 0 {
-				lg.Truncated++
-			}
-			return nil
-		}
-		for _, r := range lg.DB.Out(f.id) {
-			if lg.sanitized[r.To] {
-				// Sanitizer call: its result is clean (§6).
-				continue
-			}
-			nw := f.written
-			switch r.Type {
-			case RelVer:
-				// A version edge writes its property: remember it.
-				p, _ := r.Props["prop"].(string)
-				nw = withProp(f.written, p)
-			case RelProp:
-				// Reading a property that was overwritten along this
-				// path yields the untainted (new) value: prune
-				// (UntaintedPath pattern V(p) … P(p)).
-				p, _ := r.Props["prop"].(string)
-				if f.written[p] {
-					continue
-				}
-			}
-			if got := dfs(frame{id: r.To, written: nw, depth: f.depth + 1}); got != nil {
-				return got
-			}
+func (s *searcher) dfs(id graphdb.NodeID, written setID, depth int) []graphdb.NodeID {
+	lg := s.lg
+	if lg.Budget.Step() != nil {
+		// Budget hit mid-search: abandon the search (the sticky
+		// failure makes every outer frame bail out immediately);
+		// Detect reports the findings established before the trip.
+		return nil
+	}
+	// A state already expanded at this depth or shallower has nothing
+	// new to offer; reached now by a shorter path, it must be expanded
+	// again, since the hop bound cut its first expansion shorter.
+	key := searchState{node: id, written: written}
+	if d, ok := lg.seen[key]; ok && d <= depth {
+		return nil
+	}
+	lg.seen[key] = depth
+	lg.path = append(lg.path, id)
+	got := s.expand(id, written, depth)
+	lg.path = lg.path[:len(lg.path)-1]
+	return got
+}
+
+func (s *searcher) expand(id graphdb.NodeID, written setID, depth int) []graphdb.NodeID {
+	lg := s.lg
+	if s.accept(id) {
+		return append([]graphdb.NodeID(nil), lg.path...)
+	}
+	if depth >= s.maxHops {
+		// The hop bound silently under-approximates; count the
+		// truncation so it is observable in reports.
+		if len(lg.DB.Out(id)) > 0 {
+			lg.Truncated++
 		}
 		return nil
 	}
-	return dfs(frame{id: src, written: map[string]bool{}})
-}
-
-func withProp(m map[string]bool, p string) map[string]bool {
-	if m[p] {
-		return m
-	}
-	n := make(map[string]bool, len(m)+1)
-	for k := range m {
-		n[k] = true
-	}
-	n[p] = true
-	return n
-}
-
-func writtenKey(m map[string]bool) string {
-	if len(m) == 0 {
-		return ""
-	}
-	// Small maps: insertion-order independence via sorted concat.
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// Insertion sort (tiny n).
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	for _, r := range lg.DB.Out(id) {
+		if lg.sanitized[r.To] {
+			// Sanitizer call: its result is clean (§6).
+			continue
+		}
+		nw := written
+		switch r.Type {
+		case RelVer:
+			// A version edge writes its property: remember it.
+			p, _ := r.Props["prop"].(string)
+			nw = lg.sets.with(written, p)
+		case RelProp:
+			// Reading a property that was overwritten along this
+			// path yields the untainted (new) value: prune
+			// (UntaintedPath pattern V(p) … P(p)).
+			p, _ := r.Props["prop"].(string)
+			if lg.sets.has(written, p) {
+				continue
+			}
+		}
+		if got := s.dfs(r.To, nw, depth+1); got != nil {
+			return got
 		}
 	}
-	out := ""
-	for _, k := range keys {
-		out += k + "\x00"
+	return nil
+}
+
+// setID names an interned set of written property names; 0 is the
+// empty set.
+type setID int32
+
+// writtenSets interns the written-property sets taint searches track,
+// so a search state is a (node, set id) pair and extending a set is a
+// table lookup rather than a map copy. Sets only grow along a path and
+// stay tiny, so members are kept as sorted slices.
+type writtenSets struct {
+	members [][]string        // members[id], sorted
+	next    map[setStep]setID // id + newly written property → id
+	byKey   map[string]setID  // canonical member list → id
+}
+
+type setStep struct {
+	from setID
+	prop string
+}
+
+// has reports whether set id contains p.
+func (w *writtenSets) has(id setID, p string) bool {
+	if id == 0 {
+		return false
 	}
-	return out
+	for _, m := range w.members[id] {
+		if m == p {
+			return true
+		}
+	}
+	return false
+}
+
+// with returns the id of set id ∪ {p}.
+func (w *writtenSets) with(id setID, p string) setID {
+	if w.has(id, p) {
+		return id
+	}
+	step := setStep{from: id, prop: p}
+	if n, ok := w.next[step]; ok {
+		return n
+	}
+	if w.members == nil {
+		w.members = [][]string{nil}
+		w.next = make(map[setStep]setID)
+		w.byKey = make(map[string]setID)
+	}
+	var ms []string
+	if id != 0 {
+		ms = w.members[id]
+	}
+	ms = append(append(make([]string, 0, len(ms)+1), ms...), p)
+	for j := len(ms) - 1; j > 0 && ms[j] < ms[j-1]; j-- {
+		ms[j], ms[j-1] = ms[j-1], ms[j]
+	}
+	var key strings.Builder
+	for _, m := range ms {
+		key.WriteString(m)
+		key.WriteByte(0)
+	}
+	n, ok := w.byKey[key.String()]
+	if !ok {
+		n = setID(len(w.members))
+		w.members = append(w.members, ms)
+		w.byKey[key.String()] = n
+	}
+	w.next[step] = n
+	return n
 }
 
 // BasicPathExists reports whether any path of at most maxHops edges

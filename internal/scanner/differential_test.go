@@ -123,6 +123,42 @@ module.exports = git_reset;
 	}
 }
 
+// TestEnginesAgreeWhenShortPathFollowsLongOne: the taint source a
+// reaches x first through the long b1…b5 chain and only then directly,
+// so under a tight hop bound the query engine's search must re-expand x
+// when the shorter path arrives (the native engine records the
+// shallowest depth). Both engines must report the exec at every bound.
+func TestEnginesAgreeWhenShortPathFollowsLongOne(t *testing.T) {
+	src := `const { exec } = require('child_process');
+function run(a) {
+	var b1 = a + '1';
+	var b2 = b1 + '2';
+	var b3 = b2 + '3';
+	var b4 = b3 + '4';
+	var b5 = b4 + '5';
+	var x = b5 + a;
+	var y = x + 'y';
+	var z = y + 'z';
+	exec(z);
+}
+module.exports = run;`
+	for hops := 1; hops <= 12; hops++ {
+		cfg := queries.DefaultConfig()
+		cfg.MaxHops = hops
+		q := ScanSource(src, "chain.js", Options{Engine: EngineQuery, Config: cfg})
+		n := ScanSource(src, "chain.js", Options{Engine: EngineNative, Config: cfg})
+		if q.Err != nil || n.Err != nil {
+			t.Fatalf("MaxHops %d: errors: query=%v native=%v", hops, q.Err, n.Err)
+		}
+		if err := DiffFindings(q.Findings, n.Findings); err != nil {
+			t.Errorf("MaxHops %d: %v", hops, err)
+		}
+		if hops >= 3 && len(q.Findings) != 1 {
+			t.Errorf("MaxHops %d: %d findings, want the exec", hops, len(q.Findings))
+		}
+	}
+}
+
 func TestParseEngine(t *testing.T) {
 	for _, s := range []string{"", "query", "native", "differential"} {
 		if _, err := ParseEngine(s); err != nil {
