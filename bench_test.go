@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/budget"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graphdb"
 	"repro/internal/js/normalize"
@@ -255,6 +256,44 @@ func BenchmarkTable6GraphPhase(b *testing.B) {
 			b.Fatal("empty graph")
 		}
 	}
+}
+
+// BenchmarkAnalyzeCorpus isolates the abstract-analysis layer: the
+// front end runs once outside the timer, then each iteration builds the
+// MDG of every ground-truth package (seed 42) with
+// analysis.AnalyzeModules. ns/pkg and allocs/pkg are per package.
+func BenchmarkAnalyzeCorpus(b *testing.B) {
+	vul, sec := dataset.GroundTruth(42)
+	var pkgs [][]*core.Program
+	for _, c := range []*dataset.Corpus{vul, sec} {
+		for _, p := range c.Packages {
+			if len(p.Extra) > 0 {
+				b.Fatalf("%s: multi-file ground-truth package", p.Name)
+			}
+			prog, err := normalize.File(p.Source, p.Name)
+			if err != nil {
+				b.Fatalf("%s: %v", p.Name, err)
+			}
+			pkgs = append(pkgs, []*core.Program{prog})
+		}
+	}
+	opts := analysis.DefaultOptions()
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, progs := range pkgs {
+			if res := analysis.AnalyzeModules(progs, opts); res.Graph == nil {
+				b.Fatal("no graph")
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(pkgs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pkg")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/pkg")
 }
 
 // BenchmarkTable6TraversalPhase measures the query phase alone (the

@@ -7,9 +7,9 @@
 package analysis
 
 import (
-	"fmt"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/budget"
@@ -129,7 +129,11 @@ type analyzer struct {
 	opts  Options
 	funcs map[string]*FuncSummary
 	calls []mdg.Loc
-	root  *mdg.Store
+	// callSeen marks the call nodes already in calls; versions is
+	// allVersions' visited set.
+	callSeen mdg.Marks
+	versions mdg.Marks
+	root     *mdg.Store
 	// fnStack tracks the summaries of functions whose bodies are being
 	// analyzed (innermost last), for return-edge wiring.
 	fnStack []*FuncSummary
@@ -169,8 +173,16 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 	if opts.MaxLoopIter <= 0 {
 		opts.MaxLoopIter = 30
 	}
+	// Graphs run at about two nodes per normalized statement; sizing
+	// the graph up front spares its tables the regrowth (capped, so a
+	// huge program under a node budget does not reserve what the budget
+	// will never let it use).
+	stmts := 0
+	for _, prog := range progs {
+		stmts += prog.MaxIndex + 1
+	}
 	a := &analyzer{
-		g:          mdg.New(),
+		g:          mdg.NewSized(min(2*stmts, 4096)),
 		opts:       opts,
 		funcs:      make(map[string]*FuncSummary),
 		root:       mdg.NewStore(nil),
@@ -215,8 +227,8 @@ func AnalyzeModules(progs []*core.Program, opts Options) *Result {
 				a.g.SetCurrentFile(prog.FileName)
 				mst := mdg.NewStore(a.root)
 				mg := a.modules[prog.FileName]
-				mst.SetLocal("module", []mdg.Loc{mg.moduleLoc})
-				mst.SetLocal("exports", []mdg.Loc{mg.exportsLoc})
+				mst.SetLocal("module", mdg.Single(mg.moduleLoc))
+				mst.SetLocal("exports", mdg.Single(mg.exportsLoc))
 				a.stmts(prog.Body, mst)
 				lastStore = mst
 			}
@@ -368,12 +380,17 @@ func (a *analyzer) eval(e core.Expr, st *mdg.Store, site, line int) []mdg.Loc {
 		// Unknown global: lazily allocate a shared object for it so
 		// property accesses and calls through it remain connected.
 		l := a.g.Alloc("global", 0, 0, x.Name, mdg.KindObject, x.Name, line)
-		a.root.SetLocal(x.Name, []mdg.Loc{l})
-		return []mdg.Loc{l}
+		a.root.SetLocal(x.Name, mdg.Single(l))
+		return mdg.Single(l)
 	case core.Lit:
-		l := a.g.Alloc("lit", a.site(site), 0, x.Value+"#"+fmt.Sprint(int(x.Kind)),
-			mdg.KindLiteral, x.String(), line)
-		return []mdg.Loc{l}
+		// Keyed on (value, kind); the label is rendered only when the
+		// node is first created.
+		s := a.site(site)
+		l, ok := a.g.LocForKeyN("lit", s, x.Value, int(x.Kind))
+		if !ok {
+			l = a.g.AllocN("lit", s, x.Value, int(x.Kind), mdg.KindLiteral, x.String(), line)
+		}
+		return mdg.Single(l)
 	}
 	return nil
 }
@@ -402,18 +419,18 @@ func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
 		for _, src := range a.eval(x.R, st, x.Idx, x.Ln) {
 			a.g.AddDep(src, l)
 		}
-		st.Set(x.X, []mdg.Loc{l})
+		st.Set(x.X, mdg.Single(l))
 
 	case *core.UnOp:
 		l := a.g.Alloc("un", a.site(x.Idx), 0, "", mdg.KindObject, x.X, x.Ln)
 		for _, src := range a.eval(x.E, st, x.Idx, x.Ln) {
 			a.g.AddDep(src, l)
 		}
-		st.Set(x.X, []mdg.Loc{l})
+		st.Set(x.X, mdg.Single(l))
 
 	case *core.NewObj: // [NEW OBJECT]
 		l := a.g.Alloc("obj", a.site(x.Idx), 0, "", mdg.KindObject, x.X, x.Ln)
-		st.Set(x.X, []mdg.Loc{l})
+		st.Set(x.X, mdg.Single(l))
 
 	case *core.Lookup: // [STATIC PROPERTY LOOKUP]
 		L := a.eval(x.Obj, st, x.Idx, x.Ln)
@@ -428,7 +445,7 @@ func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
 		for _, l := range L {
 			values = append(values, a.g.AllPropValues(l)...)
 		}
-		values = dedupeLocs(values)
+		values = mdg.Dedupe(values)
 		// The value read depends on the dynamic property name
 		// (concrete rule [Dynamic Property Lookup], Fig. 5).
 		for _, v := range values {
@@ -443,9 +460,9 @@ func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
 		L3 := a.eval(x.Val, st, x.Idx, x.Ln)
 		repl := a.g.NV(a.site(x.Idx), L1, x.Prop, x.Ln)
 		a.replaceVersions(st, L1, repl)
-		for _, nl := range repl {
+		for _, r := range repl {
 			for _, v := range L3 {
-				a.g.AddEdge(mdg.Edge{From: nl, To: v, Type: mdg.Prop, Prop: x.Prop})
+				a.g.AddEdge(mdg.Edge{From: r.New, To: v, Type: mdg.Prop, Prop: x.Prop})
 			}
 		}
 
@@ -455,21 +472,22 @@ func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
 		L3 := a.eval(x.Val, st, x.Idx, x.Ln)
 		repl := a.g.NVStar(a.site(x.Idx), L1, L2, x.Ln)
 		a.replaceVersions(st, L1, repl)
-		for _, nl := range repl {
+		for _, r := range repl {
 			for _, v := range L3 {
-				a.g.AddEdge(mdg.Edge{From: nl, To: v, Type: mdg.PropStar})
+				a.g.AddEdge(mdg.Edge{From: r.New, To: v, Type: mdg.PropStar})
 			}
 		}
 
 	case *core.If:
+		// Both branches run in place: the then branch's bindings are
+		// rolled back before the else branch, and the result is
+		// then ⊔ else.
 		a.eval(x.Cond, st, 0, x.Ln)
-		thenSt := st.Copy()
-		a.stmts(x.Then, thenSt)
-		elseSt := st.Copy()
-		a.stmts(x.Else, elseSt)
-		merged := thenSt
-		merged.Join(elseSt)
-		*st = *merged
+		m := st.Mark()
+		a.stmts(x.Then, st)
+		thenBr := st.Undo(m)
+		a.stmts(x.Else, st)
+		st.JoinUndone(m, thenBr)
 
 	case *core.While:
 		a.fixpoint(x.Body, st, x.Ln)
@@ -488,7 +506,7 @@ func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
 				}
 			}
 		}
-		st.Set(x.Key, []mdg.Loc{key})
+		st.Set(x.Key, mdg.Single(key))
 		a.fixpoint(x.Body, st, x.Ln)
 
 	case *core.Call:
@@ -519,7 +537,7 @@ func (a *analyzer) stmt(s core.Stmt, st *mdg.Store) {
 // refers to the new one); with several candidate objects it must be weak
 // — the update hit only one of them concretely, so older versions stay
 // live in the store to keep the abstraction sound.
-func (a *analyzer) replaceVersions(st *mdg.Store, L1 []mdg.Loc, repl map[mdg.Loc]mdg.Loc) {
+func (a *analyzer) replaceVersions(st *mdg.Store, L1 []mdg.Loc, repl []mdg.Version) {
 	if len(L1) == 1 {
 		st.ReplaceAll(repl)
 	} else {
@@ -529,16 +547,16 @@ func (a *analyzer) replaceVersions(st *mdg.Store, L1 []mdg.Loc, repl map[mdg.Loc
 
 // fixpoint analyzes a loop body until the graph and store stop changing
 // (the MDG and store lattices are finite, §3.1), capped by MaxLoopIter.
-// After the join st ⊒ before, so the store has stopped changing exactly
-// when its local bindings equal the pre-iteration copy.
+// Each iteration joins the store with its pre-iteration bindings (the
+// loop may run 0 times); the store has stopped changing exactly when
+// that join adds nothing to them.
 func (a *analyzer) fixpoint(body []core.Stmt, st *mdg.Store, line int) {
 	for i := 0; i < a.opts.MaxLoopIter; i++ {
-		before := st.Copy()
+		m := st.Mark()
 		gSnap := a.g.Snap()
 		a.stmts(body, st)
-		// Join with the pre-iteration store: the loop may run 0 times.
-		st.Join(before)
-		if a.g.Snap() == gSnap && st.LocalEqual(before) {
+		grew := st.JoinMark(m)
+		if a.g.Snap() == gSnap && !grew {
 			return
 		}
 	}
@@ -554,7 +572,7 @@ func (a *analyzer) funcDef(x *core.FuncDef, st *mdg.Store) {
 	fnNode.FuncName = qname
 
 	for i, p := range x.Params {
-		pl := a.g.Alloc("param", a.site(x.Idx), 0, fmt.Sprintf("%s#%d", p, i), mdg.KindParam, p, x.Ln)
+		pl := a.g.AllocN("param", a.site(x.Idx), p, i, mdg.KindParam, p, x.Ln)
 		fn.Params = append(fn.Params, pl)
 	}
 	fn.ThisLoc = a.g.Alloc("this", a.site(x.Idx), 0, "this", mdg.KindObject, "this", x.Ln)
@@ -564,20 +582,20 @@ func (a *analyzer) funcDef(x *core.FuncDef, st *mdg.Store) {
 	a.funcs[qname] = fn
 
 	// Bind the name before analyzing the body so recursion resolves.
-	st.Set(x.Name, []mdg.Loc{fl})
+	st.Set(x.Name, mdg.Single(fl))
 
 	child := mdg.NewStore(st)
 	for i, p := range x.Params {
-		child.SetLocal(p, []mdg.Loc{fn.Params[i]})
+		child.SetLocal(p, mdg.Single(fn.Params[i]))
 	}
-	child.SetLocal("this", []mdg.Loc{fn.ThisLoc})
+	child.SetLocal("this", mdg.Single(fn.ThisLoc))
 	// `arguments` aggregates all parameters.
 	argsLoc := a.g.Alloc("arguments", a.site(x.Idx), 0, "arguments", mdg.KindObject, "arguments", x.Ln)
 	for i, pl := range fn.Params {
-		a.g.AddEdge(mdg.Edge{From: argsLoc, To: pl, Type: mdg.Prop, Prop: fmt.Sprint(i)})
+		a.g.AddEdge(mdg.Edge{From: argsLoc, To: pl, Type: mdg.Prop, Prop: strconv.Itoa(i)})
 		a.g.AddDep(pl, argsLoc)
 	}
-	child.SetLocal("arguments", []mdg.Loc{argsLoc})
+	child.SetLocal("arguments", mdg.Single(argsLoc))
 
 	a.fnStack = append(a.fnStack, fn)
 	a.stmts(x.Body, child)
@@ -595,14 +613,7 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 	if len(cn.CallArgs) == 0 {
 		cn.CallArgs = make([][]mdg.Loc, len(x.Args))
 	}
-	isNewCall := true
-	for _, c := range a.calls {
-		if c == cl {
-			isNewCall = false
-			break
-		}
-	}
-	if isNewCall {
+	if a.callSeen.Mark(cl) {
 		a.calls = append(a.calls, cl)
 	}
 
@@ -614,7 +625,7 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 			a.g.AddDep(l, cl)
 		}
 		if i < len(cn.CallArgs) {
-			cn.CallArgs[i] = dedupeLocs(append(cn.CallArgs[i], ls...))
+			cn.CallArgs[i] = mdg.Dedupe(append(cn.CallArgs[i], ls...))
 		}
 	}
 	var thisLocs []mdg.Loc
@@ -639,7 +650,7 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 				for _, ml := range a.allVersions(mg.moduleLoc) {
 					vals = append(vals, a.g.Lookup(ml, "exports").Values...)
 				}
-				vals = dedupeLocs(vals)
+				vals = mdg.Dedupe(vals)
 				for _, v := range vals {
 					a.g.AddDep(cl, v)
 				}
@@ -649,7 +660,7 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 			ml := a.g.Alloc("module", 0, 0, lit.Value, mdg.KindObject, lit.Value, x.Ln)
 			a.externals[lit.Value] = ml
 			a.g.AddDep(cl, ml)
-			st.Set(x.X, []mdg.Loc{ml})
+			st.Set(x.X, mdg.Single(ml))
 			return
 		}
 	}
@@ -663,10 +674,10 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 	// only calls that reach summary linking (require and built-in
 	// models returned above), accumulated across fixpoint passes.
 	if len(calleeLocs) > 0 {
-		a.calleeLocs[cl] = dedupeLocs(append(a.calleeLocs[cl], calleeLocs...))
+		a.calleeLocs[cl] = mdg.Dedupe(append(a.calleeLocs[cl], calleeLocs...))
 	}
 	if len(thisLocs) > 0 {
-		a.callThis[cl] = dedupeLocs(append(a.callThis[cl], thisLocs...))
+		a.callThis[cl] = mdg.Dedupe(append(a.callThis[cl], thisLocs...))
 	}
 
 	// Link summaries of statically resolved callees.
@@ -720,7 +731,7 @@ func (a *analyzer) call(x *core.Call, st *mdg.Store) {
 		}
 	}
 
-	st.Set(x.X, []mdg.Loc{cl})
+	st.Set(x.X, mdg.Single(cl))
 }
 
 func calleeLocsKnown(a *analyzer, ls []mdg.Loc) []*FuncSummary {
@@ -749,41 +760,28 @@ func (a *analyzer) summaryAt(l mdg.Loc) *FuncSummary {
 func (a *analyzer) markExported() bool {
 	// Roots: every version of the module object's `exports` property,
 	// plus the original exports object and all its versions.
-	roots := map[mdg.Loc]bool{}
-	var addWithVersions func(l mdg.Loc)
-	addWithVersions = func(l mdg.Loc) {
-		if roots[l] {
-			return
-		}
-		roots[l] = true
-		for _, s := range a.g.VersionSuccessors(l) {
-			addWithVersions(s)
-		}
-	}
+	var inRoots mdg.Marks
+	var roots []mdg.Loc
 	for _, mg := range a.modules {
 		for _, ml := range a.allVersions(mg.moduleLoc) {
 			res := a.g.Lookup(ml, "exports")
 			for _, v := range res.Values {
-				addWithVersions(v)
+				roots = a.versionClosure(v, &inRoots, roots)
 			}
 		}
-		addWithVersions(mg.exportsLoc)
+		roots = a.versionClosure(mg.exportsLoc, &inRoots, roots)
 	}
 
 	// Worklist: exported objects expose every property value.
-	work := make([]mdg.Loc, 0, len(roots))
-	for l := range roots {
-		work = append(work, l)
-	}
-	seen := map[mdg.Loc]bool{}
+	work := roots
+	var seen mdg.Marks
 	anyExported := false
 	for len(work) > 0 {
 		l := work[len(work)-1]
 		work = work[:len(work)-1]
-		if seen[l] {
+		if !seen.Mark(l) {
 			continue
 		}
-		seen[l] = true
 		n := a.g.Node(l)
 		if n == nil {
 			continue
@@ -796,11 +794,11 @@ func (a *analyzer) markExported() bool {
 			}
 			continue
 		}
-		for _, v := range a.g.AllPropValues(l) {
-			work = append(work, v)
-		}
-		for _, s := range a.g.VersionSuccessors(l) {
-			work = append(work, s)
+		work = append(work, a.g.AllPropValues(l)...)
+		for _, e := range a.g.Out(l) {
+			if e.Type == mdg.Ver || e.Type == mdg.VerStar {
+				work = append(work, e.To)
+			}
 		}
 	}
 
@@ -809,30 +807,20 @@ func (a *analyzer) markExported() bool {
 
 // allVersions returns l and every version successor transitively.
 func (a *analyzer) allVersions(l mdg.Loc) []mdg.Loc {
-	var out []mdg.Loc
-	seen := map[mdg.Loc]bool{}
-	var walk func(v mdg.Loc)
-	walk = func(v mdg.Loc) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		out = append(out, v)
-		for _, s := range a.g.VersionSuccessors(v) {
-			walk(s)
-		}
-	}
-	walk(l)
-	return out
+	a.versions.Reset()
+	return a.versionClosure(l, &a.versions, nil)
 }
 
-func dedupeLocs(ls []mdg.Loc) []mdg.Loc {
-	seen := make(map[mdg.Loc]struct{}, len(ls))
-	out := ls[:0]
-	for _, l := range ls {
-		if _, ok := seen[l]; !ok {
-			seen[l] = struct{}{}
-			out = append(out, l)
+// versionClosure appends l and its transitive version successors not
+// yet in marks to out, depth-first, marking them.
+func (a *analyzer) versionClosure(l mdg.Loc, marks *mdg.Marks, out []mdg.Loc) []mdg.Loc {
+	if !marks.Mark(l) {
+		return out
+	}
+	out = append(out, l)
+	for _, e := range a.g.Out(l) {
+		if e.Type == mdg.Ver || e.Type == mdg.VerStar {
+			out = a.versionClosure(e.To, marks, out)
 		}
 	}
 	return out

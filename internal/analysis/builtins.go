@@ -51,10 +51,10 @@ func (a *analyzer) builtinObjectAssign(x *core.Call, st *mdg.Store, cl mdg.Loc, 
 	repl := a.g.NVStar(a.site(x.Idx), targets, srcObjs, x.Ln)
 	a.replaceVersions(st, targets, repl)
 	var newVers []mdg.Loc
-	for _, nl := range repl {
-		newVers = append(newVers, nl)
+	for _, r := range repl {
+		newVers = append(newVers, r.New)
 		for _, v := range srcVals {
-			a.g.AddEdge(mdg.Edge{From: nl, To: v, Type: mdg.PropStar})
+			a.g.AddEdge(mdg.Edge{From: r.New, To: v, Type: mdg.PropStar})
 		}
 	}
 	// Unknown source properties: reads on the target may now return
@@ -68,8 +68,8 @@ func (a *analyzer) builtinObjectAssign(x *core.Call, st *mdg.Store, cl mdg.Loc, 
 	}
 	// Result: the (new versions of the) target.
 	var out []mdg.Loc
-	for _, nl := range repl {
-		out = append(out, nl)
+	for _, r := range repl {
+		out = append(out, r.New)
 	}
 	if len(out) == 0 {
 		out = targets
@@ -77,7 +77,7 @@ func (a *analyzer) builtinObjectAssign(x *core.Call, st *mdg.Store, cl mdg.Loc, 
 	for _, l := range out {
 		a.g.AddDep(l, cl)
 	}
-	st.Set(x.X, dedupeLocs(out))
+	st.Set(x.X, mdg.Dedupe(out))
 	return true
 }
 
@@ -102,7 +102,7 @@ func (a *analyzer) builtinJSONParse(x *core.Call, st *mdg.Store, cl mdg.Loc, arg
 		}
 	}
 	a.g.AddDep(obj, cl)
-	st.Set(x.X, []mdg.Loc{obj})
+	st.Set(x.X, mdg.Single(obj))
 	return true
 }
 
@@ -121,7 +121,7 @@ func (a *analyzer) builtinObjectKeys(x *core.Call, st *mdg.Store, cl mdg.Loc, ar
 		}
 	}
 	a.g.AddDep(arr, cl)
-	st.Set(x.X, []mdg.Loc{arr})
+	st.Set(x.X, mdg.Single(arr))
 	return true
 }
 
@@ -133,14 +133,14 @@ func (a *analyzer) builtinArrayPush(x *core.Call, st *mdg.Store, cl mdg.Loc, arg
 	}
 	repl := a.g.NVStar(a.site(x.Idx), thisLocs, nil, x.Ln)
 	a.replaceVersions(st, thisLocs, repl)
-	for _, nl := range repl {
+	for _, r := range repl {
 		for _, ls := range argLocs {
 			for _, v := range ls {
-				a.g.AddEdge(mdg.Edge{From: nl, To: v, Type: mdg.PropStar})
+				a.g.AddEdge(mdg.Edge{From: r.New, To: v, Type: mdg.PropStar})
 				// Element data is part of the array value (joins,
 				// string conversions), so the new version depends on
 				// the element too.
-				a.g.AddDep(v, nl)
+				a.g.AddDep(v, r.New)
 			}
 		}
 	}
@@ -148,7 +148,7 @@ func (a *analyzer) builtinArrayPush(x *core.Call, st *mdg.Store, cl mdg.Loc, arg
 	for _, tl := range thisLocs {
 		a.g.AddDep(tl, cl)
 	}
-	st.Set(x.X, []mdg.Loc{cl})
+	st.Set(x.X, mdg.Single(cl))
 	return true
 }
 
@@ -169,6 +169,6 @@ func (a *analyzer) builtinConcat(x *core.Call, st *mdg.Store, cl mdg.Loc, argLoc
 		add(ls)
 	}
 	a.g.AddDep(arr, cl)
-	st.Set(x.X, []mdg.Loc{arr})
+	st.Set(x.X, mdg.Single(arr))
 	return true
 }

@@ -10,7 +10,6 @@
 package analysis
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/core"
@@ -43,6 +42,9 @@ type AllocKey struct {
 	Role string
 	Site int
 	Prop string
+	// N is the key's integer component (a literal's kind), matching
+	// mdg.Graph.AllocN; 0 for keys without one.
+	N int
 }
 
 // CNode is one node of the concrete graph.
@@ -152,7 +154,7 @@ func (ci *concreteInterp) eval(e core.Expr, site int) CLoc {
 		ci.st.Store[x.Name] = l
 		return l
 	case core.Lit:
-		l := ci.alloc(AllocKey{Role: "lit", Site: site, Prop: x.Value + "#" + fmt.Sprint(int(x.Kind))}, false)
+		l := ci.alloc(AllocKey{Role: "lit", Site: site, Prop: x.Value, N: int(x.Kind)}, false)
 		ci.st.Values[l] = x.Value
 		return l
 	}

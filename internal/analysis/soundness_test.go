@@ -186,7 +186,7 @@ func (a *alphaResolver) resolve(cl CLoc) (mdg.Loc, bool) {
 			}
 		}
 	}
-	if l, ok := a.g.LocForKey(n.Key.Role, n.Key.Site, 0, n.Key.Prop); ok {
+	if l, ok := a.g.LocForKeyN(n.Key.Role, n.Key.Site, n.Key.Prop, n.Key.N); ok {
 		a.cache[cl] = l
 		return l, true
 	}

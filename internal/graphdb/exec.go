@@ -154,7 +154,10 @@ type execState struct {
 	seen      map[string]bool // DISTINCT row keys
 	sortable  []sortedRow     // rows awaiting ORDER BY
 	// limitReached stops the search once LIMIT rows are in (without
-	// ORDER BY, which needs every row before truncation).
+	// ORDER BY, which needs every row before truncation): no new
+	// pattern, candidate or expansion starts after it is set, so a
+	// LIMIT query costs budget steps in proportion to the rows it
+	// returns, not to the graph.
 	limitReached bool
 }
 
@@ -279,6 +282,9 @@ func (x *execState) match(pi int) error {
 		pool = x.db.byLabel[first.Labels[0]]
 	}
 	for _, n := range pool {
+		if x.limitReached {
+			break
+		}
 		if !nodeMatches(first, n) {
 			continue
 		}
@@ -326,6 +332,9 @@ func (x *execState) chain(pi, i int, cur *Node) error {
 		if err := x.arrive(pi, i, cur, trail); err != nil {
 			return err
 		}
+		if x.limitReached {
+			return nil
+		}
 	}
 	return x.expand(pi, i, cur, 0, trail)
 }
@@ -353,6 +362,9 @@ func (x *execState) expand(pi, i int, n *Node, depth, trail int) error {
 		adj = x.db.in[n.ID-1]
 	}
 	for _, r := range adj {
+		if x.limitReached {
+			return nil
+		}
 		if onTrail(x.rels[trail:], r) || !relMatches(rp, r) {
 			continue
 		}

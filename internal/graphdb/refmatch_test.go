@@ -124,6 +124,9 @@ func (db *DB) refExecBound(q *Query, bound map[string]*Node) (*Result, error) {
 		return nil
 	}
 
+	// stop reports a reached LIMIT: no candidate or expansion starts
+	// after it, matching ExecBound's early exit step for step.
+	stop := func() bool { return limitReached }
 	var match func(pi int, b refBinding) error
 	match = func(pi int, b refBinding) error {
 		if limitReached {
@@ -132,7 +135,7 @@ func (db *DB) refExecBound(q *Query, bound map[string]*Node) (*Result, error) {
 		if pi == len(patterns) {
 			return emit(b)
 		}
-		return db.refMatchPattern(&patterns[pi], b, func(nb refBinding) error {
+		return db.refMatchPattern(&patterns[pi], b, stop, func(nb refBinding) error {
 			return match(pi+1, nb)
 		})
 	}
@@ -176,7 +179,7 @@ func (db *DB) refExecBound(q *Query, bound map[string]*Node) (*Result, error) {
 
 // refMatchPattern enumerates all bindings of one pattern, invoking k for
 // each. Bound variables already present in b constrain the match.
-func (db *DB) refMatchPattern(p *Pattern, b refBinding, k func(refBinding) error) error {
+func (db *DB) refMatchPattern(p *Pattern, b refBinding, stop func() bool, k func(refBinding) error) error {
 	// Enumerate candidates for the first node.
 	first := p.Nodes[0]
 	cands, err := db.refNodeCandidates(first, b)
@@ -184,6 +187,9 @@ func (db *DB) refMatchPattern(p *Pattern, b refBinding, k func(refBinding) error
 		return err
 	}
 	for _, n := range cands {
+		if stop() {
+			return nil
+		}
 		if err := db.bud.Step(); err != nil {
 			return err
 		}
@@ -192,7 +198,7 @@ func (db *DB) refMatchPattern(p *Pattern, b refBinding, k func(refBinding) error
 			nb[first.Var] = n
 		}
 		path := Path{Nodes: []*Node{n}}
-		if err := db.refMatchChain(p, 0, n, nb, path, k); err != nil {
+		if err := db.refMatchChain(p, 0, n, nb, path, stop, k); err != nil {
 			return err
 		}
 	}
@@ -200,7 +206,7 @@ func (db *DB) refMatchPattern(p *Pattern, b refBinding, k func(refBinding) error
 }
 
 // refMatchChain extends the match from node index i along relationship i.
-func (db *DB) refMatchChain(p *Pattern, i int, cur *Node, b refBinding, path Path, k func(refBinding) error) error {
+func (db *DB) refMatchChain(p *Pattern, i int, cur *Node, b refBinding, path Path, stop func() bool, k func(refBinding) error) error {
 	if i == len(p.Rels) {
 		if p.PathVar != "" {
 			b = b.clone()
@@ -210,7 +216,7 @@ func (db *DB) refMatchChain(p *Pattern, i int, cur *Node, b refBinding, path Pat
 	}
 	rp := &p.Rels[i]
 	np := &p.Nodes[i+1]
-	return db.refExpandRel(rp, cur, path, func(target *Node, rels []*Rel, npath Path) error {
+	return db.refExpandRel(rp, cur, path, stop, func(target *Node, rels []*Rel, npath Path) error {
 		if !db.refNodeMatches(np, target, b) {
 			return nil
 		}
@@ -228,14 +234,14 @@ func (db *DB) refMatchChain(p *Pattern, i int, cur *Node, b refBinding, path Pat
 		if rp.Var != "" {
 			nb[rp.Var] = rels
 		}
-		return db.refMatchChain(p, i+1, target, nb, npath, k)
+		return db.refMatchChain(p, i+1, target, nb, npath, stop, k)
 	})
 }
 
 // refExpandRel enumerates matches of one relationship pattern from cur,
 // following trail semantics (no relationship repeated within one
 // variable-length expansion).
-func (db *DB) refExpandRel(rp *RelPattern, cur *Node, path Path, k func(*Node, []*Rel, Path) error) error {
+func (db *DB) refExpandRel(rp *RelPattern, cur *Node, path Path, stop func() bool, k func(*Node, []*Rel, Path) error) error {
 	typeOK := func(r *Rel) bool {
 		if len(rp.Types) == 0 {
 			return true
@@ -284,6 +290,9 @@ func (db *DB) refExpandRel(rp *RelPattern, cur *Node, path Path, k func(*Node, [
 			return nil
 		}
 		for _, r := range step(n) {
+			if stop() {
+				return nil
+			}
 			if used[r.ID] || !typeOK(r) || !propsOK(r) {
 				continue
 			}
@@ -304,6 +313,9 @@ func (db *DB) refExpandRel(rp *RelPattern, cur *Node, path Path, k func(*Node, [
 		// Zero-length match allowed: target is cur itself.
 		if err := k(cur, nil, path); err != nil {
 			return err
+		}
+		if stop() {
+			return nil
 		}
 	}
 	return rec(cur, 0, nil, path)

@@ -149,13 +149,18 @@ const (
 )
 
 // validateFragment checks the decoded graph's internal consistency:
-// locations are unique and positive, maxLoc covers them, and every
-// reference (edge endpoint, call argument, parameter, return) names a
-// node of the fragment or NoLoc where permitted. Stitch and the
-// detection backends assume exactly these invariants; enforcing them
-// here means a corrupt record can never leak a malformed graph past
-// the quarantine.
+// locations are unique and positive, maxLoc covers them and is no
+// larger than the node count — so the locations are exactly 1..N, the
+// dense numbering SnapshotFragment writes — and every reference (edge
+// endpoint, call argument, parameter, return) names a node of the
+// fragment or NoLoc where permitted. Stitch and the detection backends
+// assume exactly these invariants; enforcing them here means a corrupt
+// record can never leak a malformed graph past the quarantine, nor
+// make Stitch size its Loc-indexed tables by a forged maxLoc.
 func validateFragment(f *Fragment) error {
+	if f.maxLoc < NoLoc || int64(f.maxLoc) > int64(len(f.nodes)) {
+		return fmt.Errorf("maxLoc %d is not within the node count %d", f.maxLoc, len(f.nodes))
+	}
 	locs := make(map[Loc]bool, len(f.nodes))
 	for i := range f.nodes {
 		n := &f.nodes[i]

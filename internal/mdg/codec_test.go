@@ -103,3 +103,40 @@ func TestFragmentCodecRejectsDanglingEdge(t *testing.T) {
 		t.Fatal("dangling edge must be rejected")
 	}
 }
+
+// Forged or sparse location tables are rejected, whatever their other
+// contents: Stitch sizes its Loc-indexed tables by maxLoc, so a decoded
+// fragment must be dense (locations exactly 1..N, maxLoc = N).
+func TestFragmentCodecRejectsMalformed(t *testing.T) {
+	frag := SnapshotFragment(buildCodecGraph())
+	n := Loc(len(frag.nodes))
+	renumber := func(from, to Loc) []Node {
+		nodes := append([]Node(nil), frag.nodes...)
+		for i := range nodes {
+			if nodes[i].Loc == from {
+				nodes[i].Loc = to
+			}
+		}
+		return nodes
+	}
+	cases := []struct {
+		name string
+		f    *Fragment
+	}{
+		{"dangling edge", &Fragment{nodes: frag.nodes,
+			edges: append(append([]Edge(nil), frag.edges...), Edge{From: 1, To: n + 1, Type: Dep}), maxLoc: n + 1}},
+		{"huge maxLoc", &Fragment{nodes: frag.nodes, edges: frag.edges, maxLoc: 1 << 40}},
+		{"maxLoc one past the nodes", &Fragment{nodes: frag.nodes, edges: frag.edges, maxLoc: n + 1}},
+		{"negative maxLoc", &Fragment{nodes: nil, maxLoc: -1}},
+		{"maxLoc below a node", &Fragment{nodes: frag.nodes, edges: frag.edges, maxLoc: n - 1}},
+		{"location gap", &Fragment{nodes: renumber(n, n+2), maxLoc: n + 2}},
+	}
+	for _, c := range cases {
+		if _, err := DecodeFragment(EncodeFragment(c.f)); err == nil {
+			t.Errorf("%s: decode accepted the fragment", c.name)
+		}
+	}
+	if _, err := DecodeFragment(EncodeFragment(frag)); err != nil {
+		t.Fatalf("the dense fragment itself must decode: %v", err)
+	}
+}

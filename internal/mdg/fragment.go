@@ -18,7 +18,7 @@ type Fragment struct {
 // the fragment.
 func SnapshotFragment(g *Graph) *Fragment {
 	f := &Fragment{
-		nodes: make([]Node, 0, len(g.nodes)),
+		nodes: make([]Node, 0, g.numNodes),
 		edges: g.Edges(),
 	}
 	for _, n := range g.Nodes() {
@@ -59,7 +59,16 @@ func (f *Fragment) MaxLoc() Loc { return f.maxLoc }
 // into the stitched graph. Stitching is deterministic in the fragment
 // order given.
 func Stitch(frags ...*Fragment) (*Graph, []map[Loc]Loc) {
-	g := New()
+	var total Loc
+	for _, f := range frags {
+		total += f.maxLoc
+	}
+	g := &Graph{
+		nodes: make([]*Node, total+1),
+		out:   make([][]Edge, total+1),
+		in:    make([][]Edge, total+1),
+		alloc: make(map[allocKey]Loc),
+	}
 	remaps := make([]map[Loc]Loc, len(frags))
 	var offset Loc
 	for i, f := range frags {
@@ -70,8 +79,10 @@ func Stitch(frags ...*Fragment) (*Graph, []map[Loc]Loc) {
 			}
 			return l + offset
 		}
-		for _, n := range f.nodes {
-			c := n // value copy; fragment stays immutable
+		cs := make([]Node, len(f.nodes)) // value copies; fragment stays immutable
+		for ni, n := range f.nodes {
+			c := &cs[ni]
+			*c = n
 			c.Loc = shift(n.Loc)
 			if n.CallArgs != nil {
 				c.CallArgs = make([][]Loc, len(n.CallArgs))
@@ -89,24 +100,20 @@ func Stitch(frags ...*Fragment) (*Graph, []map[Loc]Loc) {
 				}
 			}
 			c.RetLoc = shift(n.RetLoc)
-			g.nodes[c.Loc] = &c
+			g.nodes[c.Loc] = c
+			g.numNodes++
 			remap[n.Loc] = c.Loc
 		}
 		for _, e := range f.edges {
 			ne := Edge{From: shift(e.From), To: shift(e.To), Type: e.Type, Prop: e.Prop}
-			if _, ok := g.edgeSet[ne]; ok {
+			if g.has(ne) {
 				continue
 			}
-			g.edgeSet[ne] = struct{}{}
-			g.out[ne.From] = append(g.out[ne.From], ne)
-			g.in[ne.To] = append(g.in[ne.To], ne)
+			g.insert(ne)
 		}
 		remaps[i] = remap
 		offset += f.maxLoc
 	}
-	if g.next < offset {
-		g.next = offset
-	}
-	g.sorted = nil
+	g.next = offset
 	return g, remaps
 }

@@ -214,7 +214,7 @@ func TestNVCreatesVersionAndRewritesStore(t *testing.T) {
 	st.SetLocal("y", []Loc{o})
 	repl := g.NV(2, []Loc{o}, "cmd", 3)
 	st.ReplaceAll(repl)
-	nv := repl[o]
+	nv := repl[0].New
 	if nv == o {
 		t.Fatal("NV should create a new version")
 	}
@@ -236,7 +236,7 @@ func TestNVDeterministicPerSite(t *testing.T) {
 	o := newObj(g, "o", 1)
 	r1 := g.NV(2, []Loc{o}, "p", 3)
 	r2 := g.NV(2, []Loc{o}, "p", 3)
-	if r1[o] != r2[o] {
+	if r1[0] != r2[0] || r1[0].Old != o {
 		t.Fatal("NV must be deterministic per (site, origin)")
 	}
 }
@@ -246,7 +246,7 @@ func TestNVStar(t *testing.T) {
 	o := newObj(g, "o", 1)
 	dep := newObj(g, "dep", 2)
 	repl := g.NVStar(3, []Loc{o}, []Loc{dep}, 4)
-	nv := repl[o]
+	nv := repl[0].New
 	if !g.HasEdge(Edge{From: o, To: nv, Type: VerStar}) {
 		t.Error("missing V(*) edge")
 	}

@@ -1,7 +1,9 @@
 package mdg
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -56,7 +58,7 @@ func TestStoreReplaceAll(t *testing.T) {
 	outer.SetLocal("a", []Loc{1})
 	inner := NewStore(outer)
 	inner.SetLocal("b", []Loc{1, 5})
-	inner.ReplaceAll(map[Loc]Loc{1: 9})
+	inner.ReplaceAll([]Version{{Old: 1, New: 9}})
 	if got := inner.Get("b"); !hasLoc(got, 9) || hasLoc(got, 1) {
 		t.Fatalf("b = %v", got)
 	}
@@ -154,54 +156,139 @@ func TestJoinIdempotentQuick(t *testing.T) {
 	}
 }
 
-// Property: LocalEqual agrees with Snapshot equality on random
-// deduplicated stores. The second store is a permuted copy of the first
-// (so about half the pairs are equal) with one random edit applied in
-// the other half; bindings range up to 40 locations so both the scan
-// and the set path of the comparison are exercised.
-func TestLocalEqualMatchesSnapshotQuick(t *testing.T) {
+// storeProg is a random program over a store: straight-line writes,
+// loops (a fixpoint iteration: Mark … JoinMark) and branches (Mark,
+// then, Undo, else, JoinUndone), nested.
+type storeProg struct {
+	op        int // 0 Set, 1 SetLocal, 2 Weaken, 3 ReplaceAll, 4 WeakReplace, 5 loop, 6 branch
+	x         string
+	ls        []Loc
+	repl      []Version
+	body, els []storeProg
+}
+
+func genStoreProg(r *rand.Rand, depth int) []storeProg {
+	var out []storeProg
+	for i, n := 0, 1+r.Intn(5); i < n; i++ {
+		p := storeProg{op: r.Intn(7), x: varName(r.Intn(7))}
+		if depth >= 3 && p.op >= 5 {
+			p.op = r.Intn(5)
+		}
+		for j, k := 0, r.Intn(4); j < k; j++ {
+			p.ls = append(p.ls, Loc(1+r.Intn(12)))
+		}
+		for j, k := 0, 1+r.Intn(2); j < k; j++ {
+			p.repl = append(p.repl, Version{Old: Loc(1 + r.Intn(12)), New: Loc(1 + r.Intn(12))})
+		}
+		switch p.op {
+		case 5:
+			p.body = genStoreProg(r, depth+1)
+		case 6:
+			p.body = genStoreProg(r, depth+1)
+			p.els = genStoreProg(r, depth+1)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// runMarked runs prog the way the analyzer does, in place with marks;
+// runCopied runs it the way it did before marks, with Copy and Join.
+// Both record every loop's "grew" answer.
+func runMarked(st *Store, prog []storeProg, grew *[]bool) {
+	for _, p := range prog {
+		switch p.op {
+		case 5:
+			m := st.Mark()
+			runMarked(st, p.body, grew)
+			*grew = append(*grew, st.JoinMark(m))
+		case 6:
+			m := st.Mark()
+			runMarked(st, p.body, grew)
+			br := st.Undo(m)
+			runMarked(st, p.els, grew)
+			st.JoinUndone(m, br)
+		default:
+			applyStoreOp(st, p)
+		}
+	}
+}
+
+func runCopied(st *Store, prog []storeProg, grew *[]bool) {
+	for _, p := range prog {
+		switch p.op {
+		case 5:
+			before := st.Copy()
+			runCopied(st, p.body, grew)
+			st.Join(before)
+			*grew = append(*grew, st.Snapshot() != before.Snapshot())
+		case 6:
+			thenSt := st.Copy()
+			runCopied(thenSt, p.body, grew)
+			runCopied(st, p.els, grew)
+			thenSt.Join(st)
+			*st = *thenSt
+		default:
+			applyStoreOp(st, p)
+		}
+	}
+}
+
+func applyStoreOp(st *Store, p storeProg) {
+	switch p.op {
+	case 0:
+		st.Set(p.x, p.ls)
+	case 1:
+		st.SetLocal(p.x, p.ls)
+	case 2:
+		st.Weaken(p.x, p.ls)
+	case 3:
+		st.ReplaceAll(p.repl)
+	case 4:
+		st.WeakReplace(p.repl)
+	}
+}
+
+// ordered renders a scope's bindings with their location order, which
+// later edge insertion order depends on.
+func ordered(s *Store) string {
+	var sb strings.Builder
+	for _, x := range s.Vars() {
+		fmt.Fprintf(&sb, "%s=%v;", x, s.m[x])
+	}
+	return sb.String()
+}
+
+// Property: running loops and branches in place with marks leaves the
+// same bindings, in the same order, in the scope and its parent as the
+// copy-and-join formulation, and reports a loop as converged exactly
+// when the copied store's join left its snapshot unchanged.
+func TestMarkJoinMatchesCopyJoinQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a := NewStore(nil)
-		for i, n := 0, r.Intn(6); i < n; i++ {
-			ls := make([]Loc, r.Intn(40))
-			for j := range ls {
-				ls[j] = Loc(r.Intn(48))
-			}
-			a.SetLocal(varName(i), ls)
+		prog := genStoreProg(r, 0)
+		mk := func() *Store {
+			parent := NewStore(nil)
+			parent.SetLocal("e", []Loc{1, 2})
+			parent.SetLocal("f", []Loc{3})
+			st := NewStore(parent)
+			st.SetLocal("a", []Loc{4, 5})
+			st.SetLocal("b", []Loc{1})
+			return st
 		}
-		b := NewStore(nil)
-		for x, ls := range a.m {
-			p := append([]Loc(nil), ls...)
-			r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-			b.SetLocal(x, p)
+		marked, copied := mk(), mk()
+		var g1, g2 []bool
+		runMarked(marked, prog, &g1)
+		runCopied(copied, prog, &g2)
+		if ordered(marked) != ordered(copied) || ordered(marked.parent) != ordered(copied.parent) ||
+			fmt.Sprint(g1) != fmt.Sprint(g2) {
+			t.Logf("seed %d:\n marked %s | %s %v\n copied %s | %s %v", seed,
+				ordered(marked), ordered(marked.parent), g1, ordered(copied), ordered(copied.parent), g2)
+			return false
 		}
-		if r.Intn(2) == 0 {
-			vars := b.Vars()
-			switch k := r.Intn(5); {
-			case k == 0 || len(vars) == 0:
-				b.SetLocal("z", []Loc{Loc(r.Intn(48))})
-			case k == 1:
-				delete(b.m, vars[r.Intn(len(vars))])
-			case k == 2:
-				x := vars[r.Intn(len(vars))]
-				b.Weaken(x, []Loc{Loc(r.Intn(48))})
-			case k == 3:
-				x := vars[r.Intn(len(vars))]
-				if ls := b.m[x]; len(ls) > 0 {
-					b.SetLocal(x, ls[1:])
-				}
-			default: // same length, one location swapped for a fresh one
-				x := vars[r.Intn(len(vars))]
-				if ls := b.m[x]; len(ls) > 0 {
-					ls[r.Intn(len(ls))] = 48
-				}
-			}
-		}
-		want := a.Snapshot() == b.Snapshot()
-		return a.LocalEqual(b) == want && b.LocalEqual(a) == want
+		return marked.depth == 0 && len(marked.log) == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/graphdb"
@@ -17,7 +18,8 @@ import (
 // mirroring how the Cypher query post-filters with path predicates.
 //
 // DetectTaintStyleCypher is observably equivalent to DetectTaintStyle
-// (see TestCypherNativeEquivalence); the native traversal is the
+// — same sinks, sources (lowest node id first) and witness paths; see
+// TestCypherNativeEquivalence — and the native traversal is the
 // default because it memoizes, while the declarative version
 // re-enumerates paths.
 
@@ -65,6 +67,15 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 		}
 	}
 
+	// Sources in ascending node-id order, as DetectTaintStyle visits
+	// them: when several sources reach one sink, the reported source
+	// and witness must not depend on map iteration order.
+	srcs := make([]graphdb.NodeID, 0, len(tainted))
+	for src := range tainted {
+		srcs = append(srcs, src)
+	}
+	slices.Sort(srcs)
+
 	// Step 2: chain with Arg(f, n) — sink calls and their sensitive
 	// argument nodes.
 	var out []Finding
@@ -85,8 +96,8 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 			}
 			for _, argLoc := range cn.CallArgs[argPos] {
 				argID := lg.ByLoc[argLoc]
-				for src, dsts := range tainted {
-					path, ok := dsts[argID]
+				for _, src := range srcs {
+					path, ok := tainted[src][argID]
 					if !ok && argID != src {
 						continue
 					}
@@ -99,6 +110,14 @@ func DetectTaintStyleCypher(lg *LoadedGraph, cfg *Config, cwe CWE) ([]Finding, e
 					seen[key] = true
 					srcNode := lg.DB.NodeByID(src)
 					srcName, _ := srcNode.Props["name"].(string)
+					// The query decides the finding; its witness is the
+					// one the native search reports, so both detectors
+					// agree on it. An enumerated path (which may revisit
+					// nodes) stands in if the search finds none within
+					// its hop bound.
+					if w := lg.TaintPathWitness(src, argID, cfg.MaxHops); w != nil {
+						path = w
+					}
 					out = append(out, Finding{
 						CWE:      cwe,
 						SinkName: name,

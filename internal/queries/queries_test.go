@@ -2,6 +2,7 @@ package queries
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -545,6 +546,39 @@ module.exports = findUser;
 // detection and the native traversal agree on a battery of programs,
 // including a two-module package whose modules each hold a sink on the
 // same line and with the same name.
+// twoSourceSink has two sources reaching one sink.
+const twoSourceSink = `const { exec } = require('child_process');
+function run(a, b) { exec(a + b); }
+module.exports = run;`
+
+// With two sources reaching one sink, the declarative detector reports
+// the lowest-id source and its witness on every run, not whichever
+// source map iteration visits first.
+func TestCypherDeterministicSource(t *testing.T) {
+	cfg := DefaultConfig()
+	var first []Finding
+	for run := 0; run < 50; run++ {
+		fs, err := DetectTaintStyleCypher(loadModules(t, twoSourceSink), cfg, CWECommandInjection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fs) != 1 {
+			t.Fatalf("run %d: %d findings, want 1: %v", run, len(fs), fs)
+		}
+		if run == 0 {
+			first = fs
+			if fs[0].Source != "a" {
+				t.Errorf("source %q, want the lowest-id source a", fs[0].Source)
+			}
+			continue
+		}
+		if fs[0].Source != first[0].Source || !slices.Equal(fs[0].Path, first[0].Path) {
+			t.Fatalf("run %d: source %s path %v, first run: source %s path %v",
+				run, fs[0].Source, fs[0].Path, first[0].Source, first[0].Path)
+		}
+	}
+}
+
 func TestCypherNativeEquivalence(t *testing.T) {
 	sameLineSink := `const { exec } = require('child_process');
 function run(x) { exec(x); }
@@ -570,6 +604,7 @@ module.exports = benign;`},
 		{`function run(input) { eval(input); }
 module.exports = run;`},
 		{sameLineSink, sameLineSink},
+		{twoSourceSink},
 	}
 	cfg := DefaultConfig()
 	for i, files := range packages {
@@ -591,9 +626,12 @@ module.exports = run;`},
 			for j := range native {
 				if native[j].SinkLine != declarative[j].SinkLine ||
 					native[j].SinkName != declarative[j].SinkName ||
-					native[j].SinkFile != declarative[j].SinkFile {
-					t.Errorf("package %d %s: finding %d differs: %v in %s vs %v in %s",
-						i, cwe, j, native[j], native[j].SinkFile, declarative[j], declarative[j].SinkFile)
+					native[j].SinkFile != declarative[j].SinkFile ||
+					native[j].Source != declarative[j].Source ||
+					!slices.Equal(native[j].Path, declarative[j].Path) {
+					t.Errorf("package %d %s: finding %d differs: %v in %s (source %s, path %v) vs %v in %s (source %s, path %v)",
+						i, cwe, j, native[j], native[j].SinkFile, native[j].Source, native[j].Path,
+						declarative[j], declarative[j].SinkFile, declarative[j].Source, declarative[j].Path)
 				}
 			}
 		}

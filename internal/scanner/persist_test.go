@@ -1,11 +1,13 @@
 package scanner
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/budget"
 	"repro/internal/mdg"
 	"repro/internal/queries"
 	"repro/internal/store"
@@ -172,6 +174,63 @@ func TestStoreUndecodableEntryQuarantined(t *testing.T) {
 	}
 }
 
+// withMaxLoc rewrites the trailing maxLoc of an encoded fragment (or
+// fragment entry, which ends with its fragment) from old to forged.
+func withMaxLoc(data []byte, old mdg.Loc, forged uint64) []byte {
+	n := len(binary.AppendUvarint(nil, uint64(old)))
+	return binary.AppendUvarint(append([]byte(nil), data[:len(data)-n]...), forged)
+}
+
+// A CRC-valid fragment record whose fragment claims a huge maxLoc is a
+// corrupt record like any other: quarantined and rebuilt cold, with
+// the cold findings.
+func TestStoreForgedMaxLocQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	cold := ScanSource(gitResetSrc, "git_reset.js", Options{})
+
+	s1 := openStoreT(t, dir, store.Options{})
+	st1 := NewIncrementalState()
+	st1.AttachStore(s1)
+	ScanSource(gitResetSrc, "git_reset.js", Options{Incremental: st1})
+
+	recs, _ := store.DecodeRecords(readStoreLog(t, dir))
+	n := 0
+	for _, r := range recs {
+		if r.Kind != store.KindFragment {
+			continue
+		}
+		fe, err := decodeFragEntry(r.Key, r.Body)
+		if err != nil {
+			t.Fatalf("stored entry does not decode: %v", err)
+		}
+		if err := s1.Put(store.KindFragment, r.Key, withMaxLoc(r.Body, fe.frag.MaxLoc(), 1<<40)); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if n == 0 {
+		t.Fatal("no fragment records to forge")
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openStoreT(t, dir, store.Options{})
+	st2 := NewIncrementalState()
+	st2.AttachStore(s2)
+	rep := ScanSource(gitResetSrc, "git_reset.js", Options{Incremental: st2})
+	if rep.Err != nil || rep.Failure != budget.ClassNone {
+		t.Fatalf("forged record failed the scan: err %v, failure %q", rep.Err, rep.Failure)
+	}
+	sameFindings(t, cold, rep)
+	if rep.IncrStats.StoreQuarantined == 0 {
+		t.Fatalf("forged entries were not quarantined: %+v", rep.IncrStats)
+	}
+	if rep.IncrStats.FragmentMisses == 0 {
+		t.Fatalf("forged entries were not rebuilt: %+v", rep.IncrStats)
+	}
+}
+
 func readStoreLog(t *testing.T, dir string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, "store.dat"))
@@ -321,6 +380,10 @@ func FuzzStoreDecode(f *testing.F) {
 	}
 	f.Add(encodeFragEntry(fe))
 	f.Add(mdg.EncodeFragment(frag))
+	// A forged maxLoc (the fragment encoding ends with it): decode must
+	// reject it rather than let Stitch size its tables by it.
+	f.Add(withMaxLoc(mdg.EncodeFragment(frag), frag.MaxLoc(), 1<<40))
+	f.Add(withMaxLoc(encodeFragEntry(fe), frag.MaxLoc(), 1<<40))
 	f.Add(encodeFacts(&fileFacts{
 		requires:  []string{"./b"},
 		freeReads: map[string]bool{"a": true},
